@@ -27,6 +27,8 @@ def test_array_mc_throughput(flow, alpha, benchmark):
     result = benchmark(simulator.run, alpha, 2.0, 0.7, n, rng)
     assert result.n_particles == n
 
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
     per_particle = benchmark.stats["mean"] / n
     ten_million_minutes = per_particle * 1.0e7 / 60.0
     print(

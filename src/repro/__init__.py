@@ -27,48 +27,69 @@ Quick start::
     flow = SerFlow(FlowConfig(mc_particles_per_bin=20000))
     result = flow.fit("alpha", vdd_v=0.8)
     print(result.fit_total, result.mbu_to_seu_ratio)
+
+Apart from :mod:`repro.obs`, the names below are imported on first
+access (PEP 562), so ``import repro`` -- and every ``repro-ser``
+process -- loads only the subpackages it actually uses.
 """
 
+import importlib
+
 from . import obs
-from .core import DEFAULT_ENERGY_RANGES, FlowConfig, SerFlow
-from .devices import FinFETModel, TechnologyCard, VariationModel, default_tech
-from .errors import (
-    CharacterizationError,
-    CircuitError,
-    ConfigError,
-    ConvergenceError,
-    GeometryError,
-    PhysicsError,
-    ReproError,
-    SerializationError,
-)
-from .geometry import FinGeometry, SoiFinWorld
-from .layout import CellLayout, SramArrayLayout
-from .physics import (
-    ALPHA,
-    PROTON,
-    AlphaEmissionSpectrum,
-    SeaLevelProtonSpectrum,
-    get_particle,
-)
-from .sram import (
-    CharacterizationConfig,
-    PofTable,
-    SramCellDesign,
-    StrikeScenario,
-    characterize_cell,
-)
-from .ser import (
-    ArrayMcConfig,
-    ArrayPofResult,
-    ArraySerSimulator,
-    FitResult,
-    SerSweep,
-    integrate_fit,
-)
-from .transport import ElectronYieldLUT, TransportConfig, TransportEngine
 
 __version__ = "1.0.0"
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_ENERGY_RANGES": ".core",
+    "FlowConfig": ".core",
+    "SerFlow": ".core",
+    "FinFETModel": ".devices",
+    "TechnologyCard": ".devices",
+    "VariationModel": ".devices",
+    "default_tech": ".devices",
+    "CharacterizationError": ".errors",
+    "CircuitError": ".errors",
+    "ConfigError": ".errors",
+    "ConvergenceError": ".errors",
+    "GeometryError": ".errors",
+    "PhysicsError": ".errors",
+    "ReproError": ".errors",
+    "SerializationError": ".errors",
+    "FinGeometry": ".geometry",
+    "SoiFinWorld": ".geometry",
+    "CellLayout": ".layout",
+    "SramArrayLayout": ".layout",
+    "ALPHA": ".physics",
+    "PROTON": ".physics",
+    "AlphaEmissionSpectrum": ".physics",
+    "SeaLevelProtonSpectrum": ".physics",
+    "get_particle": ".physics",
+    "CharacterizationConfig": ".sram",
+    "PofTable": ".sram",
+    "SramCellDesign": ".sram",
+    "StrikeScenario": ".sram",
+    "characterize_cell": ".sram",
+    "ArrayMcConfig": ".ser",
+    "ArrayPofResult": ".ser",
+    "ArraySerSimulator": ".ser",
+    "FitResult": ".ser",
+    "SerSweep": ".ser",
+    "integrate_fit": ".ser",
+    "ElectronYieldLUT": ".transport",
+    "TransportConfig": ".transport",
+    "TransportEngine": ".transport",
+}
+
+
+def __getattr__(name):
+    path = _EXPORTS.get(name)
+    if path is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(path, __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

@@ -2,7 +2,7 @@
 
 Arrays live on the GPU between primitives; the explicit
 :meth:`~repro.backend.base.ArrayBackend.to_numpy` boundary is crossed
-only where the flow genuinely needs host data (the scipy-backed
+only where the flow genuinely needs host data (the host-side numpy
 :meth:`~repro.sram.pof_lut.PofTable.query`, result scalars).  Large
 static tables -- the raveled I-V surfaces, POF grids -- go through
 :meth:`CupyBackend.upload`, a device cache keyed on the same sha256

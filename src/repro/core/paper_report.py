@@ -12,7 +12,6 @@ import dataclasses
 from pathlib import Path
 from typing import Optional, Union
 
-from ..analysis import fig8_pof_vs_energy, fig9_fit_vs_vdd, fig10_mbu_seu
 from .flow import SerFlow
 
 
@@ -35,6 +34,9 @@ def generate_report(
     fig8_particles: Optional[int] = None,
 ) -> str:
     """Run the evaluation campaign and render it as markdown."""
+    # imported here: repro.analysis imports repro.core at import time
+    from ..analysis import fig8_pof_vs_energy, fig9_fit_vs_vdd, fig10_mbu_seu
+
     sweep = flow.sweep()
 
     sections = [

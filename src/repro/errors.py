@@ -66,3 +66,7 @@ class TaskError(ReproError):
 
 class WorkerCrashError(ReproError):
     """Worker processes kept dying past the configured retry budget."""
+
+
+class ServiceError(ReproError):
+    """A request the SER service could not serve."""

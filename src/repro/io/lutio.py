@@ -19,10 +19,23 @@ from typing import Optional, Union
 
 from ..errors import SerializationError
 from ..obs import get_logger, get_registry, kv
-from ..sram.pof_lut import PofTable
-from ..transport.lut import ElectronYieldLUT
 
 _log = get_logger(__name__)
+
+
+# The artifact classes are imported where they are deserialized, so
+# importing this module (and the cache keys it defines) stays light.
+def _load_electron_yield_lut(payload):
+    from ..transport.lut import ElectronYieldLUT
+
+    return ElectronYieldLUT.from_dict(payload)
+
+
+def _load_pof_table(payload):
+    from ..sram.pof_lut import PofTable
+
+    return PofTable.from_dict(payload)
+
 
 def _load_ser_sweep(payload):
     from ..ser.results import SerSweep
@@ -31,8 +44,8 @@ def _load_ser_sweep(payload):
 
 
 _KIND_LOADERS = {
-    "electron_yield_lut": ElectronYieldLUT.from_dict,
-    "pof_table": PofTable.from_dict,
+    "electron_yield_lut": _load_electron_yield_lut,
+    "pof_table": _load_pof_table,
     "ser_sweep": _load_ser_sweep,
 }
 

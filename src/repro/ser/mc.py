@@ -975,7 +975,8 @@ class ArraySerSimulator:
         )
 
         # POF lookup only for pairs that actually collected charge;
-        # the table query is scipy-backed, so this is a host boundary.
+        # the table query runs in numpy on the host, so this is a host
+        # boundary.
         cell_charges_h = xp.to_numpy(cell_charges)
         touched = np.any(cell_charges_h > 0.0, axis=1)
         if not np.any(touched):

@@ -15,7 +15,7 @@ import itertools
 import socket
 from typing import Callable, Optional
 
-from .engine import ServiceError
+from ..errors import ServiceError
 from .protocol import QuerySpec, decode_line, encode_line
 
 __all__ = ["ServiceClient"]

@@ -44,7 +44,7 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..errors import ReproError
+from ..errors import ServiceError
 from ..obs import get_logger, get_registry, kv, span
 from .protocol import QuerySpec
 
@@ -60,10 +60,6 @@ __all__ = [
 ]
 
 _log = get_logger(__name__)
-
-
-class ServiceError(ReproError):
-    """A request the service could not serve."""
 
 
 class AdmissionError(ServiceError):

@@ -5,7 +5,12 @@ combination of the I1/I2/I3 strike currents, the cell flip probability
 on a log-spaced charge grid: 1-D for single strikes, 2-D for pairs,
 3-D for the triple.  Queries interpolate multilinearly in log-charge
 and linearly in Vdd; charges outside the grid clamp to the edges
-(the grid is built wide enough that the edges are POF ~ 0 and ~ 1).
+(the grid is built wide enough that the edges are POF ~ 0 and ~ 1),
+while a Vdd outside the tabulated range is an error.
+
+The lookup is :func:`_multilinear`, a numpy gather that reproduces
+``scipy.interpolate.RegularGridInterpolator(method="linear")`` bit for
+bit, so importing this module does not import scipy.
 
 With process variation disabled the stored values are the paper's
 "deterministic binary" POFs; with it enabled they are MC probabilities
@@ -14,11 +19,11 @@ in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import ConfigError, LookupError_
 from .strike import ALL_COMBOS, combo_label
@@ -31,8 +36,8 @@ def _group_codes(codes: np.ndarray):
     ``np.nonzero(codes == code)`` rescans (O(n log n) instead of
     O(k n)); stability keeps each group's rows in original order, so
     the grouping -- and every downstream gather/scatter -- is
-    identical to the loop it replaced (``_group_codes_loop`` below is
-    kept as the regression reference).
+    identical to the loop it replaced (the loop is kept as the
+    regression reference in the tests).
     """
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
@@ -48,11 +53,45 @@ def _group_codes(codes: np.ndarray):
     ]
 
 
-def _group_codes_loop(codes: np.ndarray):
-    """The pre-vectorization grouping, verbatim (test reference only)."""
-    return [
-        (int(code), np.nonzero(codes == code)[0]) for code in np.unique(codes)
+def _multilinear(axis: np.ndarray, values: np.ndarray, points: np.ndarray):
+    """Linear interpolation on the grid ``(axis,) * values.ndim``.
+
+    ``points`` has shape ``(n, values.ndim)``; points outside the axis
+    extrapolate from the edge cell.  The arithmetic is scipy's
+    ``RegularGridInterpolator(method="linear")`` operation for
+    operation, so results are bit-identical to it: the cell is the
+    last grid node ``<=`` the point, clipped to ``[0, n - 2]``; 2-D
+    grids use the term order of scipy's ``evaluate_linear_2d``; other
+    ranks sum the hypercube corners in ``itertools.product`` order
+    with weights multiplied left to right.  (scipy itself takes the
+    hypercube path for a *read-only* 2-D grid, which rounds
+    differently; this helper always uses the 2-D order.)
+    """
+    idx = np.clip(
+        np.searchsorted(axis, points, side="right") - 1, 0, len(axis) - 2
+    )
+    y = (points - axis[idx]) / (axis[idx + 1] - axis[idx])
+    if values.ndim == 2:
+        i0, i1 = idx[:, 0], idx[:, 1]
+        y0, y1 = y[:, 0], y[:, 1]
+        return (
+            values[i0, i1] * (1 - y0) * (1 - y1)
+            + values[i0, i1 + 1] * (1 - y0) * y1
+            + values[i0 + 1, i1] * y0 * (1 - y1)
+            + values[i0 + 1, i1 + 1] * y0 * y1
+        )
+    sides = [
+        ((idx[:, d], 1 - y[:, d]), (idx[:, d] + 1, y[:, d]))
+        for d in range(values.ndim)
     ]
+    value = 0.0
+    for corner in itertools.product(*sides):
+        edge, weights = zip(*corner)
+        weight = 1.0
+        for w in weights:
+            weight = weight * w
+        value = value + values[edge] * weight
+    return value
 
 
 @dataclass
@@ -96,7 +135,7 @@ class PofTable:
                     f"POF grid for {combo_label(combo)} has shape "
                     f"{grid.shape}, expected {expected}"
                 )
-        self._interp_cache: Dict = {}
+        self._log_axis = np.log(self.charge_axis_c)
 
     # -- queries -----------------------------------------------------------
 
@@ -106,7 +145,7 @@ class PofTable:
         Parameters
         ----------
         vdd_v:
-            Supply voltage; clamped to the tabulated range, linear
+            Supply voltage inside the tabulated range; linear
             interpolation between tabulated values.
         charges_c:
             ``(n, 3)`` charges [C] for (I1, I2, I3); rows with all
@@ -116,6 +155,11 @@ class PofTable:
         -------
         numpy.ndarray
             POF in [0, 1], shape ``(n,)``.
+
+        Raises
+        ------
+        ConfigError
+            If ``vdd_v`` lies outside the tabulated Vdd range.
         """
         charges = np.atleast_2d(np.asarray(charges_c, dtype=np.float64))
         if charges.shape[1] != 3:
@@ -147,11 +191,12 @@ class PofTable:
                     self.charge_axis_c[-1],
                 )
             )
-            pof_lo = self._interpolator(combo, lo_idx)(points)
+            grids = self.pof[combo]
+            pof_lo = _multilinear(self._log_axis, grids[lo_idx], points)
             if hi_idx == lo_idx:
                 result[rows] = pof_lo
             else:
-                pof_hi = self._interpolator(combo, hi_idx)(points)
+                pof_hi = _multilinear(self._log_axis, grids[hi_idx], points)
                 result[rows] = (1.0 - weight) * pof_lo + weight * pof_hi
         return np.clip(result, 0.0, 1.0)
 
@@ -161,29 +206,20 @@ class PofTable:
 
     def _vdd_bracket(self, vdd_v: float):
         vdds = self.vdd_list
-        if vdd_v <= vdds[0]:
+        if not vdds[0] <= vdd_v <= vdds[-1]:
+            raise ConfigError(
+                f"Vdd {vdd_v} V is outside the table's range "
+                f"[{vdds[0]}, {vdds[-1]}] V"
+            )
+        if vdd_v == vdds[0]:
             return 0, 0, 0.0
-        if vdd_v >= vdds[-1]:
+        if vdd_v == vdds[-1]:
             last = len(vdds) - 1
             return last, last, 0.0
         hi = int(np.searchsorted(vdds, vdd_v))
         lo = hi - 1
         weight = (vdd_v - vdds[lo]) / (vdds[hi] - vdds[lo])
         return lo, hi, float(weight)
-
-    def _interpolator(self, combo, vdd_index):
-        key = (combo, vdd_index)
-        if key not in self._interp_cache:
-            log_axis = np.log(self.charge_axis_c)
-            grid = self.pof[combo][vdd_index]
-            self._interp_cache[key] = RegularGridInterpolator(
-                (log_axis,) * len(combo),
-                grid,
-                method="linear",
-                bounds_error=False,
-                fill_value=None,
-            )
-        return self._interp_cache[key]
 
     # -- inspection -----------------------------------------------------------
 

@@ -45,7 +45,7 @@ from repro.ser import ArrayMcConfig, ArraySerSimulator, BatchPlan, CampaignPoint
 from repro.ser.clusters import _accumulate_pairs_loop, _pair_streams
 from repro.ser.mc import array_shard_decode, array_shard_encode
 from repro.sram import PofTable
-from repro.sram.pof_lut import _group_codes, _group_codes_loop
+from repro.sram.pof_lut import _group_codes
 from repro.sram.strike import ALL_COMBOS
 
 needs_numba = pytest.mark.skipif(
@@ -555,6 +555,13 @@ class TestClusterPairVectorization:
         single = np.zeros((2, 9))
         single[0, 4] = 0.5  # one failing cell: no pairs
         assert _pair_streams(single, 3) is None
+
+
+def _group_codes_loop(codes):
+    """The pre-vectorization grouping, verbatim (regression reference)."""
+    return [
+        (int(code), np.nonzero(codes == code)[0]) for code in np.unique(codes)
+    ]
 
 
 class TestPofGroupingVectorization:

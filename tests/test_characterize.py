@@ -214,11 +214,15 @@ class TestPofQueries:
         p_mid = table.query(0.8, charges)[0]
         assert min(p_lo, p_hi) - 1e-12 <= p_mid <= max(p_lo, p_hi) + 1e-12
 
-    def test_vdd_clamp_outside_range(self, table):
+    def test_vdd_outside_range_rejected(self, table):
+        # a 0.5 V query must not silently return the 0.7 V edge numbers
         charges = np.array([[1.2e-16, 0.0, 0.0]])
-        assert table.query(0.5, charges)[0] == pytest.approx(
-            table.query(0.7, charges)[0]
-        )
+        for vdd in (0.5, 0.69, 0.91, 1.2):
+            with pytest.raises(ConfigError, match="outside"):
+                table.query(vdd, charges)
+        # the tabulated edges themselves stay valid
+        assert table.query(0.7, charges).shape == (1,)
+        assert table.query(0.9, charges).shape == (1,)
 
     def test_charge_clamp_above_grid(self, table):
         charges = np.array([[1e-12, 0.0, 0.0]])  # 1 pC, way off grid
