@@ -33,7 +33,6 @@ from ..parallel import (
     RetryPolicy,
     ShardJournal,
     pack_payload,
-    parallel_map,
     resolve_jobs,
     shm_enabled,
 )
@@ -53,8 +52,9 @@ from ..ser import (
     AdaptiveCampaignController,
     AdaptiveConfig,
     ArrayMcConfig,
-    ArrayPofResult,
     ArraySerSimulator,
+    BatchPlan,
+    CampaignPoint,
     FitResult,
     SerSweep,
     integrate_fit,
@@ -153,24 +153,6 @@ class FlowConfig:
         )
 
 
-def _flow_campaign_task(payload, task):
-    """Pool worker: one array-MC campaign of a flow-level scan.
-
-    The payload holds only the (scan-invariant) simulator; everything
-    that varies per scan -- particle, vdd, budget -- rides in the task
-    tuple, so every map of a sweep ships the *same* payload and warm
-    workers reuse the one they already rebuilt.
-    """
-    particle_name, vdd_v, n_particles, energy_mev, seed = task
-    return payload["simulator"].run(
-        get_particle(particle_name),
-        float(energy_mev),
-        float(vdd_v),
-        int(n_particles),
-        np.random.default_rng(seed),
-    )
-
-
 class SerFlow:
     """End-to-end SER estimation for one cell design + array geometry.
 
@@ -194,15 +176,6 @@ class SerFlow:
     Execution knobs like ``n_jobs`` -- results are bit-identical
     either way, so they live outside :class:`FlowConfig` and never
     perturb cache keys.
-
-    ``backend`` names the array-compute backend for the hot kernels
-    (``None`` = process default; see :mod:`repro.backend`) and
-    ``fuse`` turns on cross-campaign batch fusion for :meth:`sweep`
-    (:mod:`repro.ser.fusion`): the whole sweep's draw blocks run as
-    one parallel map instead of one map per campaign.  Both are
-    execution knobs in the same sense -- the numpy backend path and
-    the fused schedule are bit-identical to the defaults, so neither
-    lives on :class:`FlowConfig` nor perturbs cache keys.
     """
 
     def __init__(
@@ -215,8 +188,6 @@ class SerFlow:
         resume: bool = True,
         warm_pool: Optional[bool] = None,
         shm: Optional[bool] = None,
-        backend: Optional[str] = None,
-        fuse: bool = False,
     ):
         self.config = config if config is not None else FlowConfig()
         self.design = design if design is not None else SramCellDesign()
@@ -226,8 +197,6 @@ class SerFlow:
         self.resume = resume
         self.warm_pool = warm_pool
         self.shm = shm
-        self.backend = backend
-        self.fuse = bool(fuse)
         self._yield_luts: Optional[Dict[str, ElectronYieldLUT]] = None
         self._pof_table: Optional[PofTable] = None
         self._layout: Optional[SramArrayLayout] = None
@@ -369,7 +338,6 @@ class SerFlow:
                     journal=journal,
                     warm_pool=self.warm_pool,
                     shm=self.shm,
-                    backend=self.backend,
                 )
 
             with span(
@@ -422,7 +390,6 @@ class SerFlow:
                     n_jobs=self.n_jobs,
                     warm_pool=self.warm_pool,
                     shm=self.shm,
-                    backend=self.backend,
                 ),
             )
         return self._simulator
@@ -471,41 +438,69 @@ class SerFlow:
             self._campaign_packs[use_shm] = packed
         return packed
 
-    def _run_campaigns(self, stage, particle, vdd_v, energies, n_particles):
-        """Independent array-MC campaigns, one per energy, fanned out.
+    def _campaign_point(
+        self, stage, particle_name, vdd_v, energy, n_particles
+    ) -> CampaignPoint:
+        """One (particle, energy, Vdd) point on its :meth:`_campaign_seed`."""
+        return CampaignPoint(
+            particle_name=particle_name,
+            energy_mev=energy,
+            vdd_v=vdd_v,
+            n_particles=int(n_particles),
+            seed=self._campaign_seed(
+                stage, particle_name, f"{vdd_v:g}", f"{energy:.9g}"
+            ),
+        )
 
-        Each campaign draws from its own :meth:`_campaign_seed` stream,
-        so the list of results is a pure function of the flow seed --
+    def _run_points(self, name, points, journal_config) -> list:
+        """Run campaign points as one :class:`~repro.ser.BatchPlan`.
+
+        Every point draws from its own :meth:`_campaign_seed` stream,
+        so the results are a pure function of the flow seed --
         independent of execution order, worker count, and whichever
-        campaigns ran earlier in the process.  The campaigns are spread
-        across workers here; inside a worker the simulator's own
-        (inner) parallelism stands down automatically.
+        campaigns ran earlier in the process -- and each equals
+        ``simulator.run`` on that seed.
 
-        Fault tolerance operates at this level on whole campaigns:
-        completed (energy-point) campaigns are journaled so a crashed
-        scan resumes bit-identically, and the retry policy is forced
-        strict -- downstream :func:`~repro.ser.fit.integrate_fit`
-        needs one result per bin, so unrecoverable loss must raise
-        rather than degrade to a hole in the spectrum.
+        Fault tolerance operates on the plan's pool tasks: completed
+        tasks are journaled under ``name`` so a crashed run resumes
+        bit-identically, and the retry policy is forced strict --
+        downstream :func:`~repro.ser.fit.integrate_fit` needs one
+        result per bin, so unrecoverable loss must raise rather than
+        degrade to a hole in the spectrum.
         """
-        tasks = [
-            (
-                particle.name,
-                vdd_v,
-                n_particles,
-                energy,
-                self._campaign_seed(
-                    stage, particle.name, f"{vdd_v:g}", f"{energy:.9g}"
-                ),
+        journal = self._journal_for(
+            name,
+            array_shard_encode,
+            array_shard_decode,
+            self.config,
+            self.design.tech,
+            journal_config,
+        )
+        results = BatchPlan(
+            self.simulator(),
+            points,
+            n_jobs=self.n_jobs,
+            retry=self.retry,
+            journal=journal,
+            warm_pool=self.warm_pool,
+            shm=self.shm,
+            payload=self._campaign_payload(),
+        ).execute()
+        if journal is not None:
+            journal.clear()
+        return results
+
+    def _run_campaigns(self, stage, particle, vdd_v, energies, n_particles):
+        """Independent array-MC campaigns, one per energy, in one plan."""
+        points = [
+            self._campaign_point(
+                stage, particle.name, vdd_v, energy, n_particles
             )
             for energy in energies
         ]
-        journal = self._journal_for(
+        return self._run_points(
             f"{stage}-{particle.name}",
-            lambda result: result.to_dict(),
-            ArrayPofResult.from_dict,
-            self.config,
-            self.design.tech,
+            points,
             {
                 "stage": stage,
                 "particle": particle.name,
@@ -514,20 +509,6 @@ class SerFlow:
                 "n_particles": int(n_particles),
             },
         )
-        results = parallel_map(
-            _flow_campaign_task,
-            tasks,
-            payload=self._campaign_payload(),
-            n_jobs=self.n_jobs,
-            label="flow_campaigns",
-            retry=self.retry.strict() if self.retry is not None else None,
-            journal=journal,
-            warm_pool=self.warm_pool,
-            shm=self.shm,
-        )
-        if journal is not None:
-            journal.clear()
-        return results
 
     def pair_offsets(
         self,
@@ -707,19 +688,17 @@ class SerFlow:
         cached (keyed by the full flow configuration), so repeated
         analysis/example runs skip the Monte Carlo entirely.
 
-        With ``fuse=True`` the sweep's campaigns run as one fused
-        :class:`~repro.ser.fusion.BatchPlan` instead of one map per
-        (particle, energy, Vdd) point -- bit-identical results (same
-        campaign seeds, same block partition, same merge order), same
-        cache key, fewer fan-outs.  Adaptive allocation does its own
-        cross-bin scheduling, so it keeps the per-case path.
+        Uniform sweeps queue every (particle, Vdd, energy-bin) campaign
+        into one :class:`~repro.ser.BatchPlan` (see :meth:`_sweep_plan`);
+        adaptive allocation does its own cross-bin scheduling per
+        (particle, Vdd) case through :meth:`fit`.
         """
         particles = list(particles or self.config.particles)
         vdd_list = list(vdd_list or self.config.vdd_list)
 
         def build():
-            if self.fuse and self.config.adaptive is None:
-                return self._sweep_fused(particles, vdd_list)
+            if self.config.adaptive is None:
+                return self._sweep_plan(particles, vdd_list)
             sweep = SerSweep()
             for particle_name in particles:
                 for vdd in vdd_list:
@@ -741,83 +720,46 @@ class SerFlow:
                 )
             return build()
 
-    def _sweep_fused(self, particles, vdd_list) -> SerSweep:
-        """Fused replacement for the per-case :meth:`fit` loop.
+    def _sweep_plan(self, particles, vdd_list) -> SerSweep:
+        """The uniform sweep: one plan for every case, then eq. 8.
 
-        Queues every (particle, vdd, energy-bin) campaign of the sweep
-        into one :class:`~repro.ser.fusion.BatchPlan` -- same campaign
-        seeds (:meth:`_campaign_seed` with the ``"fit"`` stage key),
-        same uniform ``mc_particles_per_bin`` budget, so each merged
-        point is bit-identical to the per-campaign result -- then
-        integrates per case exactly as :meth:`fit` does.
+        Each (particle, Vdd) case gets exactly the campaign points
+        :meth:`fit` would run -- same ``"fit"`` campaign seeds, same
+        ``mc_particles_per_bin`` budget -- so ``sweep().get(p, v)`` is
+        bit-identical to ``fit(p, v)``.
         """
-        from ..ser.fusion import BatchPlan, CampaignPoint
-
         points = []
-        case_bins = {}
-        case_indices = {}
+        cases = []
         for particle_name in particles:
             spectrum = spectrum_for(particle_name)
             e_lo, e_hi = self.config.energy_range_for(particle_name)
             bins = spectrum.make_bins(self.config.n_energy_bins, e_lo, e_hi)
-            case_bins[particle_name] = bins
-            energies = [float(energy) for energy in bins.representative_mev]
             for vdd in vdd_list:
                 vdd = float(vdd)
-                indices = []
-                for energy in energies:
-                    indices.append(len(points))
-                    points.append(
-                        CampaignPoint(
-                            index=len(points),
-                            particle_name=particle_name,
-                            energy_mev=energy,
-                            vdd_v=vdd,
-                            n_particles=self.config.mc_particles_per_bin,
-                            seed=self._campaign_seed(
-                                "fit",
-                                particle_name,
-                                f"{vdd:g}",
-                                f"{energy:.9g}",
-                            ),
-                        )
+                cases.append((particle_name, vdd, bins, len(points)))
+                points.extend(
+                    self._campaign_point(
+                        "fit",
+                        particle_name,
+                        vdd,
+                        float(energy),
+                        self.config.mc_particles_per_bin,
                     )
-                case_indices[(particle_name, vdd)] = indices
+                    for energy in bins.representative_mev
+                )
 
-        journal = self._journal_for(
-            "sweep-fused",
-            array_shard_encode,
-            array_shard_decode,
-            self.config,
-            self.design.tech,
+        results = self._run_points(
+            "sweep",
+            points,
             {
                 "particles": particles,
                 "vdds": [f"{float(vdd):g}" for vdd in vdd_list],
                 "n_particles": int(self.config.mc_particles_per_bin),
             },
         )
-        plan = BatchPlan(
-            self.simulator(),
-            points,
-            n_jobs=self.n_jobs,
-            retry=self.retry,
-            journal=journal,
-            warm_pool=self.warm_pool,
-            shm=self.shm,
-            payload=self._campaign_payload(),
-        )
-        results = plan.execute()
-        if journal is not None:
-            journal.clear()
-
         sweep = SerSweep()
-        for particle_name in particles:
-            bins = case_bins[particle_name]
-            for vdd in vdd_list:
-                vdd = float(vdd)
-                case = [
-                    results[i] for i in case_indices[(particle_name, vdd)]
-                ]
-                self._record_convergence(particle_name, vdd, case)
-                sweep.add(integrate_fit(particle_name, vdd, bins, case))
+        for particle_name, vdd, bins, start in cases:
+            case = results[start : start + len(bins.representative_mev)]
+            self._record_convergence(particle_name, vdd, case)
+            sweep.add(integrate_fit(particle_name, vdd, bins, case))
         return sweep

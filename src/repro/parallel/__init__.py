@@ -26,7 +26,6 @@ from .shm import (
     MIN_SHM_BYTES,
     PackedPayload,
     SharedArrayPack,
-    array_fingerprint,
     get_pack,
     pack_payload,
     set_shm_default,
@@ -43,7 +42,6 @@ __all__ = [
     "RetryPolicy",
     "SharedArrayPack",
     "ShardJournal",
-    "array_fingerprint",
     "get_lease",
     "get_pack",
     "pack_payload",

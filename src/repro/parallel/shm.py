@@ -64,7 +64,6 @@ __all__ = [
     "PackedPayload",
     "SharedArrayPack",
     "ShmArrayRef",
-    "array_fingerprint",
     "get_pack",
     "load_packed",
     "pack_payload",
@@ -85,21 +84,6 @@ MIN_SHM_BYTES = 1 << 15  # 32 KiB
 _PID_TAG = "repro.shm.array"
 
 _DEFAULT_ENABLED = True
-
-
-def array_fingerprint(array: np.ndarray) -> str:
-    """Content-addressed identity of one ndarray (sha256 hex digest).
-
-    Covers dtype, shape and the exact C-contiguous bytes -- the same
-    key the shared-memory segment registry dedupes on, reused by the
-    cupy backend's device upload cache so both planes agree on what
-    "the same table" means.
-    """
-    data = np.ascontiguousarray(array)
-    header = f"{data.dtype.str}|{data.shape}|".encode("ascii")
-    digest = hashlib.sha256(header)
-    digest.update(data.data.cast("B"))
-    return digest.hexdigest()
 
 
 def shm_enabled(override: Optional[bool] = None) -> bool:
@@ -186,7 +170,10 @@ class SharedArrayPack:
         """
         metrics = get_registry()
         data = np.ascontiguousarray(array)
-        fingerprint = array_fingerprint(data)
+        header = f"{data.dtype.str}|{data.shape}|".encode("ascii")
+        digest = hashlib.sha256(header)
+        digest.update(data.data.cast("B"))
+        fingerprint = digest.hexdigest()
 
         existing = self._refs.get(fingerprint)
         if existing is not None:

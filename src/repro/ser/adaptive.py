@@ -51,7 +51,7 @@ from ..obs import get_logger, get_registry, kv
 from ..obs.convergence import record_bin
 from ..obs.events import emit_event
 from ..parallel import parallel_map
-from ..physics import get_particle
+from .fusion import _block_task
 from .mc import DRAW_BLOCK_SIZE, ArrayPofResult
 
 _log = get_logger(__name__)
@@ -298,34 +298,6 @@ def _combined_strata(pos: Optional[List[dict]], energy: Optional[List[dict]]):
     return combined
 
 
-def _adaptive_task(payload, task):
-    """Pool worker: run one bin/stratum's draw blocks, in order.
-
-    The payload carries only the (campaign-invariant) simulator, so
-    every round of every bin ships the *same* payload -- warm workers
-    and the shared-memory plane reuse the one they already rebuilt.
-    Everything that varies rides in the task spec.
-    """
-    simulator = payload["simulator"]
-    spec, blocks = task
-    particle = get_particle(spec["particle"])
-    block_payload = {
-        "simulator": simulator,
-        "particle": particle,
-        "energy_mev": float(spec["energy_mev"]),
-        "vdd_v": float(spec["vdd_v"]),
-        "window": simulator.layout.launch_window(simulator.config.margin_nm),
-        "law": simulator.config.law_for(particle.name),
-        "spectrum": spec.get("spectrum"),
-        "e_range": spec.get("e_range"),
-        "stratum": spec.get("stratum"),
-    }
-    return [
-        simulator._run_block(block_payload, size, seed)
-        for size, seed in blocks
-    ]
-
-
 class AdaptiveCampaignController:
     """Sequential adaptive MC campaign over a set of bins.
 
@@ -557,7 +529,7 @@ class AdaptiveCampaignController:
             else None
         )
         nested = parallel_map(
-            _adaptive_task,
+            _block_task,
             tasks,
             payload=self.payload,
             n_jobs=self.n_jobs,

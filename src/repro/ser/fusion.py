@@ -1,36 +1,31 @@
-"""Cross-campaign batch fusion for flow-level sweeps.
+"""Batch plans: a set of array-MC campaigns run as one parallel map.
 
-The classic sweep path runs one :func:`~repro.parallel.parallel_map`
-per (particle, energy, Vdd) campaign: dozens of small fan-outs, each
-paying its own scheduling round-trip and each re-priming workers and
-device backends before the next point's map starts.  Fusion instead
-queues *every* draw block of the whole sweep into one
-:class:`BatchPlan` and executes them as a single map: draw blocks from
-different campaigns share pool tasks, the one broadcast payload (the
-simulator, shipped via the :mod:`repro.parallel.shm` plane) serves all
-points, and device backends upload the static tables -- I-V surfaces,
-POF grids -- once per sweep, keyed on the same
-:func:`~repro.parallel.shm.array_fingerprint` sha256 the shared-memory
-plane dedupes on.
+Every uniform campaign fan-out of the flow -- a Fig. 8 energy scan, one
+(particle, Vdd) FIT case, a whole sweep -- queues the draw blocks of
+all its (particle, energy, Vdd) points into one :class:`BatchPlan` and
+executes them as a single :func:`~repro.parallel.parallel_map`: the
+one broadcast payload (the simulator, shipped via the
+:mod:`repro.parallel.shm` plane) serves every point, and pool tasks
+from different campaigns share the same warm workers.
 
 Determinism is inherited, not re-proven: each point's draw blocks are
 the exact :func:`~repro.ser.mc._draw_blocks` partition, each block
 consumes the same :func:`~repro.parallel.spawn_seeds` child stream of
 the point's campaign seed, and per-point results merge in block order
--- so a fused sweep is bit-identical to the per-campaign path for any
-worker count (asserted by ``tests/test_backend.py``).
+-- so every plan point is bit-identical to
+:meth:`~repro.ser.mc.ArraySerSimulator.run` on the same seed, for any
+worker count (asserted by ``tests/test_fusion.py``).
 
 Fault tolerance: completed pool tasks journal through the standard
-array-shard codec so an interrupted fused sweep resumes
-bit-identically; any draw block lost past the retry budget raises
+array-shard codec so an interrupted plan resumes bit-identically; any
+draw block lost past the retry budget raises
 :class:`~repro.errors.WorkerCrashError` (the downstream FIT integral
 needs every energy bin, so degradation to a partial sweep is not
-meaningful here -- same reasoning as ``SerFlow._run_campaigns``).
+meaningful here).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -42,7 +37,7 @@ from ..obs import get_logger, get_registry, kv
 from ..obs.convergence import record_bin
 from ..parallel import parallel_map, spawn_seeds
 from ..physics import get_particle
-from .mc import DRAW_BLOCK_SIZE, ArrayPofResult, _draw_blocks
+from .mc import ArrayPofResult, _bundle_tasks, _draw_blocks
 
 _log = get_logger(__name__)
 
@@ -53,45 +48,51 @@ __all__ = ["BatchPlan", "CampaignPoint"]
 class CampaignPoint:
     """One (particle, energy, Vdd) campaign queued into a plan."""
 
-    index: int
     particle_name: str
     energy_mev: float
     vdd_v: float
     n_particles: int
-    #: Root :class:`numpy.random.SeedSequence` of the campaign -- the
-    #: very seed the per-campaign path would hand ``simulator.run``.
+    #: Root :class:`numpy.random.SeedSequence` of the campaign: the
+    #: point reproduces ``simulator.run(..., np.random.default_rng(seed))``
+    #: and, like that call, spawns its block streams off the sequence.
     seed: np.random.SeedSequence
 
 
-def _fused_task(payload, task):
-    """Pool worker: run a task's draw blocks (any campaign mix), in order.
+def _block_task(payload, task):
+    """Pool worker: run one campaign spec's draw blocks, in order.
 
-    Each unit is ``(particle_name, energy_mev, vdd_v, size, seed)``;
-    the per-block payload is rebuilt from the broadcast simulator
-    exactly as ``ArraySerSimulator._run_campaign`` would build it, so a
-    block computes the identical result regardless of which campaigns
-    share its task.
+    ``task`` is ``(spec, [(size, seed), ...])``.  The payload carries
+    only the (campaign-invariant) simulator, so every map ships the
+    *same* payload and warm workers reuse the one they already
+    rebuilt; everything that varies rides in the spec -- particle,
+    energy and Vdd, plus the optional ``spectrum``/``e_range`` of a
+    spectrum campaign and the sampling ``stratum`` of an adaptive
+    round (:mod:`repro.ser.adaptive`).  The per-block payload is
+    rebuilt exactly as ``ArraySerSimulator._run_campaign`` builds it,
+    so a block computes the identical result whichever map runs it.
     """
     simulator = payload["simulator"]
-    window = simulator.layout.launch_window(simulator.config.margin_nm)
-    results = []
-    for particle_name, energy_mev, vdd_v, size, seed in task:
-        block_payload = {
-            "simulator": simulator,
-            "particle": get_particle(particle_name),
-            "energy_mev": float(energy_mev),
-            "vdd_v": float(vdd_v),
-            "window": window,
-            "law": simulator.config.law_for(particle_name),
-            "spectrum": None,
-            "e_range": None,
-        }
-        results.append(simulator._run_block(block_payload, size, seed))
-    return results
+    spec, blocks = task
+    particle = get_particle(spec["particle"])
+    block_payload = {
+        "simulator": simulator,
+        "particle": particle,
+        "energy_mev": float(spec["energy_mev"]),
+        "vdd_v": float(spec["vdd_v"]),
+        "window": simulator.layout.launch_window(simulator.config.margin_nm),
+        "law": simulator.config.law_for(particle.name),
+        "spectrum": spec.get("spectrum"),
+        "e_range": spec.get("e_range"),
+        "stratum": spec.get("stratum"),
+    }
+    return [
+        simulator._run_block(block_payload, size, seed)
+        for size, seed in blocks
+    ]
 
 
 class BatchPlan:
-    """A whole sweep's draw blocks, fused into one parallel map.
+    """Campaign points whose draw blocks run as one parallel map.
 
     Parameters
     ----------
@@ -135,7 +136,7 @@ class BatchPlan:
         Results come back in point order, each bit-identical to what
         ``simulator.run(point...)`` would have produced.
         """
-        units = []
+        tasks = []
         block_counts = []
         for point in self.points:
             blocks = _draw_blocks(point.n_particles)
@@ -143,34 +144,30 @@ class BatchPlan:
                 np.random.default_rng(point.seed), len(blocks)
             )
             block_counts.append(len(blocks))
-            for size, seed in zip(blocks, seeds):
-                units.append(
-                    (
-                        point.particle_name,
-                        float(point.energy_mev),
-                        float(point.vdd_v),
-                        size,
-                        seed,
-                    )
+            spec = {
+                "particle": point.particle_name,
+                "energy_mev": float(point.energy_mev),
+                "vdd_v": float(point.vdd_v),
+            }
+            tasks.extend(
+                (spec, chunk)
+                for chunk in _bundle_tasks(
+                    blocks, seeds, self.simulator.config.chunk_size
                 )
-        per_task = max(
-            1, math.ceil(self.simulator.config.chunk_size / DRAW_BLOCK_SIZE)
-        )
-        tasks = [
-            units[i : i + per_task] for i in range(0, len(units), per_task)
-        ]
+            )
+        total_blocks = sum(block_counts)
         total_particles = sum(point.n_particles for point in self.points)
 
         metrics = get_registry()
         if metrics.enabled:
-            metrics.counter("backend.fused_plans").inc()
-            metrics.counter("backend.fused_campaigns").inc(len(self.points))
-            metrics.counter("backend.fused_blocks").inc(len(units))
+            metrics.counter("fused.plans").inc()
+            metrics.counter("fused.campaigns").inc(len(self.points))
+            metrics.counter("fused.blocks").inc(total_blocks)
         _log.info(
             "fused batch plan %s",
             kv(
                 campaigns=len(self.points),
-                blocks=len(units),
+                blocks=total_blocks,
                 tasks=len(tasks),
                 particles=total_particles,
             ),
@@ -179,7 +176,7 @@ class BatchPlan:
         t0 = time.perf_counter()
         with metrics.time("fused.plan"):
             nested = parallel_map(
-                _fused_task,
+                _block_task,
                 tasks,
                 payload=(
                     self.payload
@@ -190,16 +187,17 @@ class BatchPlan:
                 label="fused_campaigns",
                 retry=self.retry.strict() if self.retry is not None else None,
                 journal=self.journal,
-                cost_hint_s=2.0e-6 * total_particles / max(len(tasks), 1),
+                # no cost hint: with n_jobs > 1 every plan runs pooled,
+                # so the plans of one run share a warm pool
                 warm_pool=self.warm_pool,
                 shm=self.shm,
             )
             lost = sum(1 for group in nested if group is None)
             if lost:
                 raise WorkerCrashError(
-                    f"fused sweep lost {lost}/{len(tasks)} pool tasks to "
+                    f"batch plan lost {lost}/{len(tasks)} pool tasks to "
                     "worker crashes; the FIT integral needs every energy "
-                    "bin, so a fused plan cannot degrade"
+                    "bin, so a plan cannot degrade"
                 )
             flat = [result for group in nested for result in group]
         elapsed = time.perf_counter() - t0

@@ -48,8 +48,13 @@ class ServiceClient:
             return self._sock
         if self.socket_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout_s)
-            sock.connect(self.socket_path)
+            try:
+                sock.settimeout(self.timeout_s)
+                sock.connect(self.socket_path)
+            except BaseException:
+                # a failed connect must not leak the fresh socket
+                sock.close()
+                raise
         else:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout_s

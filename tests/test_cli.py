@@ -21,6 +21,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "flags", [["--fuse"], ["--backend", "numpy"]], ids=["fuse", "backend"]
+    )
+    def test_removed_execution_flags_rejected(self, flags, capsys):
+        # one campaign path and one array kernel: nothing left to select
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["sweep", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         from repro import __version__
 

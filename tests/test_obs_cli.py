@@ -170,6 +170,31 @@ class TestObsDiff:
         assert not any(key.endswith(".samples") for key in keys)
 
 
+    def test_parent_format_manifest_with_backend_section_diffs(
+        self, tmp_path, capsys
+    ):
+        """Manifests written while the array-backend knob existed (a
+        top-level ``backend`` section plus ``environment.backend``)
+        still load and diff against current ones."""
+        new = make_manifest_file(tmp_path / "new.json")
+        payload = json.loads(new.read_text())
+        payload["backend"] = {
+            "runs": {"numpy": 3},
+            "fallbacks": 0,
+            "fused_plans": 1,
+            "fused_campaigns": 4,
+            "fused_blocks": 12,
+        }
+        payload["environment"]["backend"] = "numpy"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+
+        diffs, _meta = diff_manifests(old, new)
+        assert diffs == [("environment.backend", "numpy", "<absent>")]
+        assert cli_main(["obs", "diff", str(old), str(new)]) == 0
+        assert "environment.backend" in capsys.readouterr().out
+
+
 class TestBenchCheck:
     @staticmethod
     def _write(path, speedups, metric="speedup"):

@@ -568,6 +568,23 @@ class TestCliFrontEnd:
         assert code == 1
         assert "query failed" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_connect_to_missing_socket_leaks_nothing(self, tmp_path):
+        import gc
+        import warnings
+
+        client = ServiceClient(socket_path=str(tmp_path / "nope.sock"))
+        # an unclosed socket warns from its finalizer, where an "error"
+        # filter cannot raise; record the warnings to see it instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                client._connect()
+            gc.collect()
+        assert client._sock is None
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
 
 class TestRealCampaign:
     def test_run_query_bit_identical_to_direct_flow(self, tmp_path):
