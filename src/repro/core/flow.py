@@ -34,7 +34,6 @@ from ..parallel import (
     ShardJournal,
     pack_payload,
     resolve_jobs,
-    shm_enabled,
 )
 from ..physics import get_particle, spectrum_for
 from ..sram import (
@@ -167,15 +166,6 @@ class SerFlow:
     and ``resume`` (on by default, needs a ``cache_dir``) checkpoints
     every campaign into a :class:`~repro.parallel.ShardJournal` so an
     interrupted run resumes bit-identically.
-
-    ``warm_pool`` / ``shm`` (``None`` = process defaults, normally on)
-    control pool leasing and the shared-memory payload plane of
-    :mod:`repro.parallel` across every stage: the flow's hundreds of
-    campaigns then reuse warm workers and ship their static inputs
-    (layout boxes, POF grids, yield LUTs) once instead of per map.
-    Execution knobs like ``n_jobs`` -- results are bit-identical
-    either way, so they live outside :class:`FlowConfig` and never
-    perturb cache keys.
     """
 
     def __init__(
@@ -186,8 +176,6 @@ class SerFlow:
         n_jobs: int = 1,
         retry: Optional[RetryPolicy] = None,
         resume: bool = True,
-        warm_pool: Optional[bool] = None,
-        shm: Optional[bool] = None,
     ):
         self.config = config if config is not None else FlowConfig()
         self.design = design if design is not None else SramCellDesign()
@@ -195,13 +183,11 @@ class SerFlow:
         self.n_jobs = n_jobs
         self.retry = retry
         self.resume = resume
-        self.warm_pool = warm_pool
-        self.shm = shm
         self._yield_luts: Optional[Dict[str, ElectronYieldLUT]] = None
         self._pof_table: Optional[PofTable] = None
         self._layout: Optional[SramArrayLayout] = None
         self._simulator: Optional[ArraySerSimulator] = None
-        self._campaign_packs: Dict[bool, object] = {}
+        self._campaign_pack = None
 
     def _journal_for(self, name: str, encode, decode, *config_objects):
         """A shard journal under the cache dir, or ``None``.
@@ -303,8 +289,6 @@ class SerFlow:
                     n_jobs=self.n_jobs,
                     retry=self.retry,
                     journal=journal,
-                    warm_pool=self.warm_pool,
-                    shm=self.shm,
                 )
 
             if self.cache is not None:
@@ -336,8 +320,6 @@ class SerFlow:
                     n_jobs=self.n_jobs,
                     retry=self.retry,
                     journal=journal,
-                    warm_pool=self.warm_pool,
-                    shm=self.shm,
                 )
 
             with span(
@@ -388,8 +370,6 @@ class SerFlow:
                     deposition_mode=self.config.deposition_mode,
                     margin_nm=self.config.margin_nm,
                     n_jobs=self.n_jobs,
-                    warm_pool=self.warm_pool,
-                    shm=self.shm,
                 ),
             )
         return self._simulator
@@ -416,7 +396,7 @@ class SerFlow:
             )
 
     def _campaign_payload(self):
-        """The campaign fan-out payload, packed once per (flow, shm mode).
+        """The campaign fan-out payload, packed once per flow.
 
         Every flow-level scan ships the same simulator, so the flow
         pre-packs it a single time (see
@@ -429,14 +409,9 @@ class SerFlow:
         """
         if resolve_jobs(self.n_jobs) <= 1:
             return {"simulator": self.simulator()}
-        use_shm = shm_enabled(self.shm)
-        packed = self._campaign_packs.get(use_shm)
-        if packed is None:
-            packed = pack_payload(
-                {"simulator": self.simulator()}, use_shm=use_shm
-            )
-            self._campaign_packs[use_shm] = packed
-        return packed
+        if self._campaign_pack is None:
+            self._campaign_pack = pack_payload({"simulator": self.simulator()})
+        return self._campaign_pack
 
     def _campaign_point(
         self, stage, particle_name, vdd_v, energy, n_particles
@@ -482,8 +457,6 @@ class SerFlow:
             n_jobs=self.n_jobs,
             retry=self.retry,
             journal=journal,
-            warm_pool=self.warm_pool,
-            shm=self.shm,
             payload=self._campaign_payload(),
         ).execute()
         if journal is not None:
@@ -618,8 +591,6 @@ class SerFlow:
             self.config.adaptive,
             n_jobs=self.n_jobs,
             retry=self.retry,
-            warm_pool=self.warm_pool,
-            shm=self.shm,
             payload=self._campaign_payload(),
             journal_factory=journal_factory,
             stage=f"adaptive-{stage}",

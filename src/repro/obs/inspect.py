@@ -513,7 +513,7 @@ def bench_check(
     """Regression-gate the newest entry of a ``BENCH_*.json`` trajectory.
 
     The benchmark files are append-only lists of runs; the key figure
-    is ``speedup`` (flow/parallel benches),
+    is ``speedup`` (a generic speed ratio),
     ``speedup_default_vs_seed`` (characterization bench) or
     ``trial_savings`` (adaptive-sampling bench).  The check
     passes when the newest entry's figure is within ``max_regress``

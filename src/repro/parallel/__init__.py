@@ -5,31 +5,28 @@ sharding + spawned child streams + ordered merges = bit-identical
 results for any worker count) and the fault-tolerance layer
 (:class:`RetryPolicy` retry/backoff/watchdog, :class:`ShardJournal`
 crash-safe checkpoints, graceful degradation to partial statistics).
-:mod:`repro.parallel.pool` keeps worker pools warm across successive
-maps and :mod:`repro.parallel.shm` ships bulk payload arrays through
-shared memory -- both pure transport optimizations that never change
-results.
+Every pooled map runs on a warm pool leased from
+:mod:`repro.parallel.pool`, and :mod:`repro.parallel.shm` ships bulk
+payload arrays through shared memory -- both pure transport
+optimizations that never change results.
 """
 
 from .engine import (
     AUTO_INLINE_THRESHOLD_S,
     WARM_AUTO_INLINE_THRESHOLD_S,
-    ParallelConfig,
     RetryPolicy,
     parallel_map,
     resolve_jobs,
     spawn_seeds,
 )
 from .journal import ShardJournal
-from .pool import PoolLease, get_lease, set_warm_pool_default, warm_pool_enabled
+from .pool import PoolLease, get_lease
 from .shm import (
     MIN_SHM_BYTES,
     PackedPayload,
     SharedArrayPack,
     get_pack,
     pack_payload,
-    set_shm_default,
-    shm_enabled,
 )
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "WARM_AUTO_INLINE_THRESHOLD_S",
     "MIN_SHM_BYTES",
     "PackedPayload",
-    "ParallelConfig",
     "PoolLease",
     "RetryPolicy",
     "SharedArrayPack",
@@ -47,9 +43,5 @@ __all__ = [
     "pack_payload",
     "parallel_map",
     "resolve_jobs",
-    "set_shm_default",
-    "set_warm_pool_default",
-    "shm_enabled",
     "spawn_seeds",
-    "warm_pool_enabled",
 ]

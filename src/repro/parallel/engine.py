@@ -7,9 +7,10 @@ module is the one place that knows how to fan such work out across
 worker processes and fold the partial results back:
 
 * :func:`parallel_map` -- ordered map of a *module-level* worker
-  function over a task list, through a process pool.  A shared
-  read-only payload (simulator, engine, design...) is shipped to each
-  worker once via the pool initializer instead of once per task.
+  function over a task list, through the warm process pool leased
+  from :mod:`repro.parallel.pool`.  A shared read-only payload
+  (simulator, engine, design...) is packed once per map
+  (:mod:`repro.parallel.shm`) and rebuilt at most once per worker.
 * :func:`spawn_seeds` -- deterministic child ``SeedSequence`` streams
   off a caller's generator, the backbone of the engine's reproducibility
   contract.
@@ -79,11 +80,7 @@ import os
 import queue as queue_mod
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-)
+from concurrent.futures import FIRST_COMPLETED, CancelledError
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -95,15 +92,14 @@ from ..errors import ConfigError, TaskError, WorkerCrashError
 from ..obs import get_logger, get_registry, kv, span
 from ..obs.events import disable_events, emit_event, get_event_bus
 from ..obs.registry import disable_metrics, enable_metrics
-from .pool import get_lease, warm_pool_enabled
-from .shm import PackedPayload, load_packed, pack_payload, shm_enabled
+from .pool import get_lease
+from .shm import PackedPayload, load_packed, pack_payload
 
 _log = get_logger(__name__)
 
 __all__ = [
     "AUTO_INLINE_THRESHOLD_S",
     "WARM_AUTO_INLINE_THRESHOLD_S",
-    "ParallelConfig",
     "RetryPolicy",
     "parallel_map",
     "resolve_jobs",
@@ -117,31 +113,6 @@ __all__ = [
 #: by the fault-injection tests and the CI fault-smoke job; never set
 #: it in production.
 FAULT_ENV = "REPRO_PARALLEL_KILL"
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Knobs of the process-pool execution engine.
-
-    Attributes
-    ----------
-    n_jobs:
-        Worker processes; ``1`` runs inline (no pool), ``0`` means
-        "one per CPU".
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default,
-        ``fork`` on Linux).
-    """
-
-    n_jobs: int = 1
-    start_method: Optional[str] = None
-
-    def __post_init__(self):
-        if self.n_jobs < 0:
-            raise ConfigError("n_jobs cannot be negative (0 means auto)")
-
-    def resolved_jobs(self) -> int:
-        return resolve_jobs(self.n_jobs)
 
 
 @dataclass(frozen=True)
@@ -241,9 +212,10 @@ def spawn_seeds(rng: np.random.Generator, n: int) -> List[np.random.SeedSequence
 
 # -- worker-side plumbing ------------------------------------------------------
 
-#: Shared read-only payload installed once per worker by the pool
-#: initializer (under ``fork`` it is inherited, never pickled per task).
-_WORKER_PAYLOAD: Any = None
+#: Set by :func:`_worker_init` in every pool worker.  Pool workers are
+#: not daemonic on Python >= 3.9, so ``current_process().daemon``
+#: cannot tell a worker from the parent; this flag can.
+_IN_WORKER = False
 
 #: Sentinel marking a shard that has neither a journaled nor a fresh
 #: result yet (``None`` is a legal shard result, so it cannot serve).
@@ -299,30 +271,35 @@ def _emit_worker_event(
         pass
 
 
-def _worker_init(payload, with_metrics: bool, event_queue=None):
-    global _WORKER_PAYLOAD, _EVENT_QUEUE
-    if isinstance(payload, PackedPayload):
-        # caller-prepacked payload on a fresh (throwaway) pool: rebuild
-        # it here once, exactly like the historical broadcast.
-        payload = load_packed(payload)
-    _WORKER_PAYLOAD = payload
+def _worker_init(event_queue=None):
+    """Initializer of pool workers: no payload, no metrics.
+
+    Workers outlive the map that forked them, so nothing shipped at
+    fork time can be trusted later: the payload travels per task as a
+    :class:`~repro.parallel.shm.PackedPayload` (cached by fingerprint)
+    and the metrics flag per task (the parent may enable or disable
+    the registry between maps).  Under ``fork`` the worker inherits the
+    parent's live registry and event bus (with its open file
+    descriptor) -- drop both, so snapshots only ever carry worker-side
+    increments and worker events reach the sink only through the
+    parent.  The one exception is the telemetry ``event_queue`` (owned
+    by the :class:`~repro.parallel.pool.PoolLease`, one per pool key):
+    queues only cross the process boundary at construction time, so it
+    is installed here for the worker's whole life; whether anything
+    flows through it is decided per task by the ``with_events`` flag.
+    """
+    global _IN_WORKER, _EVENT_QUEUE
+    _IN_WORKER = True
     _EVENT_QUEUE = event_queue
     _EVENT_BUFFER.clear()
-    # Under ``fork`` the worker inherits the parent's live bus (and
-    # its open file descriptor): drop it -- worker events travel
-    # through the queue to be sequenced by the parent, never straight
-    # to the sink.
     disable_events()
-    if with_metrics:
-        # fresh registry per worker: task snapshots only carry
-        # worker-side increments, never the parent's forked state.
-        enable_metrics(fresh=True)
+    disable_metrics()
 
 
 def _maybe_inject_fault(label: str, index: int, spec: Optional[str] = None):
     """Honor the :data:`FAULT_ENV` test hook (abrupt one-shot death).
 
-    ``spec`` overrides the environment lookup: warm pool workers fork
+    ``spec`` overrides the environment lookup: pool workers fork
     *before* a test arms the hook, so the parent captures the spec at
     submit time and ships it with the task.
     """
@@ -353,49 +330,7 @@ def _slow_shards() -> bool:
     )
 
 
-def _invoke(fn, task, index: int, label: str):
-    """Run one task in a worker; return (result, metrics snapshot, busy s)."""
-    global _EVENT_LAST_BUSY_S
-    _maybe_inject_fault(label, index)
-    _emit_worker_event("started", label, index, flush=_slow_shards())
-    t0 = time.perf_counter()
-    result = fn(_WORKER_PAYLOAD, task)
-    busy_s = time.perf_counter() - t0
-    _EVENT_LAST_BUSY_S = busy_s
-    _emit_worker_event("finished", label, index, busy_s=round(busy_s, 6))
-    registry = get_registry()
-    snapshot = None
-    if registry.enabled:
-        snapshot = registry.snapshot()
-        registry.reset()
-    return result, snapshot, busy_s
-
-
-def _warm_worker_init(event_queue=None):
-    """Initializer of *warm* pool workers: no payload, no metrics.
-
-    Warm workers outlive the map that forked them, so nothing shipped
-    at fork time can be trusted later: the payload travels per task as
-    a :class:`~repro.parallel.shm.PackedPayload` (cached by
-    fingerprint) and the metrics flag per task (the parent may enable
-    or disable the registry between maps).  Under ``fork`` the worker
-    inherits the parent's live registry state -- drop it so snapshots
-    only ever carry worker-side increments.  The one exception is the
-    telemetry ``event_queue`` (owned by the
-    :class:`~repro.parallel.pool.PoolLease`, one per pool key): queues
-    only cross the process boundary at construction time, so it is
-    installed here for the worker's whole life; whether anything flows
-    through it is decided per task by the ``with_events`` flag.
-    """
-    global _WORKER_PAYLOAD, _EVENT_QUEUE
-    _WORKER_PAYLOAD = None
-    _EVENT_QUEUE = event_queue
-    _EVENT_BUFFER.clear()
-    disable_events()
-    disable_metrics()
-
-
-def _sync_warm_metrics(with_metrics: bool):
+def _sync_metrics(with_metrics: bool):
     """Match the worker's registry state to the parent's (per task)."""
     if with_metrics:
         if not get_registry().enabled:
@@ -404,7 +339,7 @@ def _sync_warm_metrics(with_metrics: bool):
         disable_metrics()
 
 
-def _invoke_packed(
+def _invoke(
     fn,
     task,
     index: int,
@@ -414,20 +349,19 @@ def _invoke_packed(
     fault_spec=None,
     with_events=False,
 ):
-    """Warm-pool counterpart of :func:`_invoke`.
+    """Run one task in a worker; return (result, metrics snapshot, busy s).
 
     The payload arrives packed (pickled once in the parent, bulk
     arrays as shared-memory references) and is rebuilt at most once
-    per fingerprint per worker; busy time still covers only ``fn``
-    itself, matching the fresh-pool accounting.  ``fault_spec`` is the
-    parent's :data:`FAULT_ENV` value at submit time (a warm worker's
-    own environment predates the test arming the hook), and
-    ``with_events`` the parent's live telemetry state (a warm worker's
-    queue outlives any one map, so emission is decided per task, like
-    metrics).
+    per fingerprint per worker; busy time covers only ``fn`` itself.
+    ``fault_spec`` is the parent's :data:`FAULT_ENV` value at submit
+    time (a worker's own environment predates the test arming the
+    hook), and ``with_events`` the parent's live telemetry state (the
+    worker's queue outlives any one map, so emission is decided per
+    task, like metrics).
     """
     global _EVENT_LAST_BUSY_S
-    _sync_warm_metrics(with_metrics)
+    _sync_metrics(with_metrics)
     _maybe_inject_fault(label, index, spec=fault_spec)
     payload = load_packed(packed)
     if with_events:
@@ -447,21 +381,8 @@ def _invoke_packed(
 
 
 def _in_worker() -> bool:
-    """True inside a pool worker (daemon), where nesting is forbidden."""
-    return multiprocessing.current_process().daemon
-
-
-def _shutdown_executor(executor: ProcessPoolExecutor):
-    """Tear a pool down without waiting; terminate stuck workers."""
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover -- python < 3.9
-        executor.shutdown(wait=False)
-    processes = getattr(executor, "_processes", None)
-    if processes:
-        for process in list(processes.values()):
-            if process.is_alive():
-                process.terminate()
+    """True inside a pool worker, where nesting is forbidden."""
+    return _IN_WORKER
 
 
 #: Minimum estimated per-worker work [s] that justifies spinning up a
@@ -511,12 +432,9 @@ def parallel_map(
     payload: Any = None,
     n_jobs: int = 1,
     label: str = "map",
-    start_method: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
     journal=None,
     cost_hint_s: Optional[float] = None,
-    warm_pool: Optional[bool] = None,
-    shm: Optional[bool] = None,
 ) -> list:
     """Ordered map of ``fn(payload, task)`` over ``tasks``.
 
@@ -524,7 +442,9 @@ def parallel_map(
     ``n_jobs <= 1``, a single pending task, or when already inside a
     pool worker, the map runs inline -- no pool, no pickling --
     executing the identical code path, so results never depend on the
-    worker count.
+    worker count.  Otherwise every round runs on the warm executor
+    leased for the map's ``(start method, jobs)`` key (see
+    :mod:`repro.parallel.pool`), with the payload packed once per map.
 
     Parameters
     ----------
@@ -532,8 +452,8 @@ def parallel_map(
         Shared read-only object passed as ``fn``'s first argument.
         May be a :class:`~repro.parallel.shm.PackedPayload` the caller
         packed once (e.g. a flow fanning the same simulator across
-        many maps): the warm path ships it as-is with zero re-packing,
-        and the fresh/inline paths rebuild it transparently before use.
+        many maps): the pooled path ships it as-is with zero
+        re-packing, and the inline path rebuilds it before use.
     retry:
         Fault-tolerance policy (see :class:`RetryPolicy`).  ``None``
         keeps the historical fail-fast behavior: any worker loss or
@@ -554,18 +474,6 @@ def parallel_map(
         (default) disables the heuristic.  When a warm pool for this
         map's key is already leased, the lower
         :data:`WARM_AUTO_INLINE_THRESHOLD_S` applies instead.
-    warm_pool:
-        Lease a warm executor from :mod:`repro.parallel.pool` for the
-        first round instead of building a throwaway pool (``None`` =
-        the process default, see
-        :func:`~repro.parallel.pool.warm_pool_enabled`).  Retry rounds
-        always run on fresh per-round pools, preserving the failure
-        taxonomy exactly.  Results are bit-identical either way.
-    shm:
-        Ship bulk payload arrays through the shared-memory plane of
-        :mod:`repro.parallel.shm` on the warm path (``None`` = the
-        process default, see :func:`~repro.parallel.shm.shm_enabled`).
-        Only affects transport cost, never results.
 
     Returns the results in task order.  Shards lost past the retry
     budget under ``allow_partial=True`` come back as ``None`` -- filter
@@ -602,10 +510,9 @@ def parallel_map(
     t0 = time.perf_counter()
     busy_s = 0.0
 
-    context = multiprocessing.get_context(start_method)
+    context = multiprocessing.get_context()
     in_worker = _in_worker()
-    use_warm = jobs > 1 and not in_worker and warm_pool_enabled(warm_pool)
-    warm_ready = use_warm and get_lease().has(context, jobs)
+    warm_ready = jobs > 1 and not in_worker and get_lease().has(context, jobs)
 
     auto_inlined = False
     if jobs > 1 and _should_auto_inline(
@@ -655,11 +562,7 @@ def parallel_map(
             )
         lost: List[int] = []
     else:
-        path = (
-            "pool-warm-reuse"
-            if warm_ready
-            else ("pool-warm" if use_warm else "pool-fresh")
-        )
+        path = "pool-warm-reuse" if warm_ready else "pool-warm"
         emit_event(
             "round",
             label=label,
@@ -687,8 +590,6 @@ def parallel_map(
                 journal,
                 results,
                 metrics,
-                use_warm=use_warm,
-                use_shm=shm_enabled(shm),
             )
         wall_s = time.perf_counter() - t0
         if metrics.enabled:
@@ -797,41 +698,37 @@ def _run_pooled(
     journal,
     results,
     metrics,
-    use_warm=False,
-    use_shm=True,
 ):
     """Pool execution with retry rounds; returns (busy_s, lost shards).
 
-    With ``use_warm``, the first round leases a warm executor and ships
-    the payload packed (see :func:`_run_round`); retry rounds always
-    build a fresh throwaway pool with the historical initializer-based
-    payload broadcast, so transient-failure recovery behaves exactly as
-    it did before pool leasing existed.
+    The payload is packed once (unless the caller already packed it)
+    and every round, retries included, leases the map's own
+    ``(start method, jobs)`` pool.  A round that lost shards has
+    already invalidated that lease (see :func:`_run_round`), so a
+    retry round starts on fresh workers, and the re-created pool then
+    stays leased for the next map.
     """
     remaining = list(pending)
     busy_total = 0.0
     attempt = 0
-    packed = None
-    if use_warm:
-        if isinstance(payload, PackedPayload):
-            packed = payload  # caller packed it once; ship as-is
-        else:
-            with metrics.time("parallel.pack"):
-                packed = pack_payload(payload, use_shm=use_shm)
+    if isinstance(payload, PackedPayload):
+        packed = payload  # caller packed it once; ship as-is
+    else:
+        with metrics.time("parallel.pack"):
+            packed = pack_payload(payload)
     while remaining:
         transient, fatal, busy_s = _run_round(
             fn,
             tasks,
             remaining,
-            payload,
-            min(jobs, len(remaining)),
+            packed,
+            jobs,
             label,
             context,
             policy,
             journal,
             results,
             metrics,
-            packed=packed if attempt == 0 else None,
         )
         busy_total += busy_s
         if fatal is not None:
@@ -974,7 +871,7 @@ def _run_round(
     fn,
     tasks,
     indices,
-    payload,
+    packed,
     jobs,
     label,
     context,
@@ -982,16 +879,14 @@ def _run_round(
     journal,
     results,
     metrics,
-    packed=None,
 ):
-    """One pool round over ``indices``.
+    """One pool round over ``indices`` on the leased executor.
 
-    With ``packed`` set (warm first round), the executor is leased from
-    the process-wide :class:`~repro.parallel.pool.PoolLease` and every
-    task carries the packed payload; the pool survives the round unless
-    it ended badly (worker death, watchdog), in which case the lease is
-    invalidated so the *next* map starts clean.  Without ``packed``,
-    this is the historical throwaway pool with initializer broadcast.
+    The executor is leased from the process-wide
+    :class:`~repro.parallel.pool.PoolLease` and every task carries the
+    packed payload; the pool survives the round unless it ended badly
+    (worker death, watchdog), in which case the lease is invalidated so
+    the next round or map starts clean.
 
     Returns ``(transient, fatal, busy_s)``: the shard indices lost to
     worker death or the watchdog, the first deterministic task failure
@@ -999,28 +894,12 @@ def _run_round(
     did complete -- which are stored into ``results`` and journaled
     immediately, so even a round that ends badly keeps its credit.
     """
-    warm = packed is not None
     bus = get_event_bus()
-    fresh_queue = None
-    if warm:
-        executor, _reused = get_lease().acquire(
-            context, jobs, initializer=_warm_worker_init
-        )
-        event_queue = get_lease().event_queue(context, jobs)
-    else:
-        # fresh pools are born and die with the round, so the queue
-        # only needs to exist when someone will drain it.
-        fresh_queue = context.Queue() if bus is not None else None
-        event_queue = fresh_queue
-        executor = ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(payload, metrics.enabled, event_queue),
-        )
+    lease = get_lease()
+    executor, _reused = lease.acquire(context, jobs, initializer=_worker_init)
     pump = (
-        _EventPump(bus, event_queue, label, len(indices))
-        if bus is not None and event_queue is not None
+        _EventPump(bus, lease.event_queue(context, jobs), label, len(indices))
+        if bus is not None
         else None
     )
     transient: List[int] = []
@@ -1028,34 +907,28 @@ def _run_round(
     busy_total = 0.0
     healthy = True
     try:
-        if warm:
-            fault_spec = os.environ.get(FAULT_ENV)
-            try:
-                waiting = {
-                    executor.submit(
-                        _invoke_packed,
-                        fn,
-                        tasks[i],
-                        i,
-                        label,
-                        packed,
-                        metrics.enabled,
-                        fault_spec,
-                        bus is not None,
-                    ): i
-                    for i in indices
-                }
-            except BrokenProcessPool:
-                # a worker died idle between maps: the whole round is
-                # transient, the lease is invalidated in finally.
-                healthy = False
-                transient.extend(indices)
-                return transient, None, busy_total
-        else:
+        fault_spec = os.environ.get(FAULT_ENV)
+        try:
             waiting = {
-                executor.submit(_invoke, fn, tasks[i], i, label): i
+                executor.submit(
+                    _invoke,
+                    fn,
+                    tasks[i],
+                    i,
+                    label,
+                    packed,
+                    metrics.enabled,
+                    fault_spec,
+                    bus is not None,
+                ): i
                 for i in indices
             }
+        except BrokenProcessPool:
+            # a worker died idle between maps: the whole round is
+            # transient, the lease is invalidated in finally.
+            healthy = False
+            transient.extend(indices)
+            return transient, None, busy_total
         while waiting:
             done, _ = _futures_wait(
                 list(waiting),
@@ -1086,11 +959,10 @@ def _run_round(
                     broken = True
                 except Exception as exc:
                     fatal = (index, exc)
-                    if warm:
-                        # keep the healthy pool; drop what we can of
-                        # the still-queued work before failing fast.
-                        for pending_future in waiting:
-                            pending_future.cancel()
+                    # keep the healthy pool; drop what we can of the
+                    # still-queued work before failing fast.
+                    for pending_future in waiting:
+                        pending_future.cancel()
                     return transient, fatal, busy_total
                 else:
                     results[index] = result
@@ -1109,14 +981,5 @@ def _run_round(
     finally:
         if pump is not None:
             pump.stop()
-        if warm:
-            if not healthy:
-                get_lease().invalidate(context, jobs)
-        else:
-            _shutdown_executor(executor)
-            if fresh_queue is not None:
-                try:
-                    fresh_queue.close()
-                    fresh_queue.cancel_join_thread()
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
+        if not healthy:
+            lease.invalidate(context, jobs)

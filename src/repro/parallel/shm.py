@@ -31,10 +31,9 @@ pickled payload:
   unlink path is guarded by the creating PID.
 
 When shared memory is unavailable (no writable ``/dev/shm``, exotic
-platforms) or disabled (``REPRO_NO_SHM=1``, ``--no-shm``,
-:func:`set_shm_default`), arrays stay inline in the pickle stream --
-same results, just a bigger broadcast (counted in
-``parallel.shm.fallback``).
+platforms -- see :meth:`SharedArrayPack.available`), arrays stay
+inline in the pickle stream -- same results, just a bigger broadcast
+(counted in ``parallel.shm.fallback``).
 
 Determinism: a shared array is reconstructed from the exact bytes of
 the original (C-contiguous copy), so worker-side values are
@@ -67,13 +66,7 @@ __all__ = [
     "get_pack",
     "load_packed",
     "pack_payload",
-    "set_shm_default",
-    "shm_enabled",
 ]
-
-#: Kill switch: set to any non-empty value to disable the shared-memory
-#: plane process-wide (arrays ship inline in the pickle stream).
-ENV_DISABLE = "REPRO_NO_SHM"
 
 #: Arrays below this size ship inline: a shared-memory segment costs a
 #: file descriptor, an mmap and a resource-tracker entry, which only
@@ -82,28 +75,6 @@ MIN_SHM_BYTES = 1 << 15  # 32 KiB
 
 #: ``persistent_id`` tag marking a diverted array in the pickle stream.
 _PID_TAG = "repro.shm.array"
-
-_DEFAULT_ENABLED = True
-
-
-def shm_enabled(override: Optional[bool] = None) -> bool:
-    """Effective on/off state of the shared-memory plane.
-
-    ``REPRO_NO_SHM`` beats everything (operational kill switch), an
-    explicit ``override`` (CLI flag, config field) beats the module
-    default set by :func:`set_shm_default`.
-    """
-    if os.environ.get(ENV_DISABLE):
-        return False
-    if override is not None:
-        return bool(override)
-    return _DEFAULT_ENABLED
-
-
-def set_shm_default(enabled: bool) -> None:
-    """Set the process-wide default used when no override is given."""
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
 
 
 @dataclass(frozen=True)
@@ -324,16 +295,14 @@ class PackedPayload:
 class _PackingPickler(pickle.Pickler):
     """Pickler diverting large ndarrays into the shared-array pack."""
 
-    def __init__(self, file, pack: SharedArrayPack, use_shm: bool):
+    def __init__(self, file, pack: SharedArrayPack):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._pack = pack
-        self._use_shm = use_shm
         self.shared: Dict[str, ShmArrayRef] = {}
 
     def persistent_id(self, obj):
         if (
-            self._use_shm
-            and type(obj) is np.ndarray
+            type(obj) is np.ndarray
             and obj.nbytes >= MIN_SHM_BYTES
             and not obj.dtype.hasobject
         ):
@@ -344,7 +313,7 @@ class _PackingPickler(pickle.Pickler):
         return None
 
 
-def pack_payload(payload: Any, *, use_shm: bool = True) -> PackedPayload:
+def pack_payload(payload: Any) -> PackedPayload:
     """Serialize a payload once, diverting bulk arrays into shm.
 
     The returned :class:`PackedPayload` is small (references instead of
@@ -352,14 +321,13 @@ def pack_payload(payload: Any, *, use_shm: bool = True) -> PackedPayload:
     pack retains one reference per distinct shared array.
     """
     pack = get_pack()
-    effective = use_shm and shm_enabled()
     buffer = io.BytesIO()
-    pickler = _PackingPickler(buffer, pack, effective)
+    pickler = _PackingPickler(buffer, pack)
     pickler.dump(payload)
     data: Optional[bytes] = buffer.getvalue()
     fingerprint = hashlib.sha256(data).hexdigest()
     blob_ref = None
-    if effective and len(data) >= MIN_SHM_BYTES:
+    if len(data) >= MIN_SHM_BYTES:
         # the pickle stream itself is bulky (many sub-threshold
         # grids): park it in a segment too, so per-task
         # IPC carries references only.
@@ -390,7 +358,7 @@ _ATTACHMENTS: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 #: Payload-fingerprint -> rebuilt payload object, so a warm worker
 #: unpickles each distinct payload once and switching campaigns back
 #: and forth stays cheap.  Bounded: payloads can hold large inline
-#: state when shm is off.
+#: state when shared memory is unavailable.
 _PAYLOAD_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 _PAYLOAD_CACHE_MAX = 4
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class BatchPlan:
         The shared :class:`~repro.ser.mc.ArraySerSimulator`.
     points:
         The queued campaigns, in result order.
-    n_jobs, retry, journal, warm_pool, shm:
+    n_jobs, retry, journal:
         The usual execution/fault-tolerance knobs of
         :func:`~repro.parallel.parallel_map`; the retry policy is
         forced strict (see module docstring).
@@ -117,8 +117,6 @@ class BatchPlan:
         n_jobs: int = 1,
         retry=None,
         journal=None,
-        warm_pool: Optional[bool] = None,
-        shm: Optional[bool] = None,
         payload=None,
     ):
         self.simulator = simulator
@@ -126,8 +124,6 @@ class BatchPlan:
         self.n_jobs = n_jobs
         self.retry = retry
         self.journal = journal
-        self.warm_pool = warm_pool
-        self.shm = shm
         self.payload = payload
 
     def execute(self) -> List[ArrayPofResult]:
@@ -189,8 +185,6 @@ class BatchPlan:
                 journal=self.journal,
                 # no cost hint: with n_jobs > 1 every plan runs pooled,
                 # so the plans of one run share a warm pool
-                warm_pool=self.warm_pool,
-                shm=self.shm,
             )
             lost = sum(1 for group in nested if group is None)
             if lost:

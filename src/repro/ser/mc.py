@@ -84,12 +84,6 @@ class ArrayMcConfig:
     max_multiplicity: int = 8
     #: Worker processes for campaigns (1 = inline, 0 = one per CPU).
     n_jobs: int = 1
-    #: Warm-pool leasing / shared-memory payload plane overrides for
-    #: the campaign maps (``None`` = process defaults; see
-    #: :mod:`repro.parallel.pool` / :mod:`repro.parallel.shm`).
-    #: Execution knobs only -- results are bit-identical either way.
-    warm_pool: Optional[bool] = None
-    shm: Optional[bool] = None
 
     def __post_init__(self):
         if self.deposition_mode not in DEPOSITION_MODES:
@@ -799,8 +793,6 @@ class ArraySerSimulator:
                 journal=journal,
                 # ~2 us per particle: tiny campaigns skip pool spin-up
                 cost_hint_s=2.0e-6 * n_particles / max(len(tasks), 1),
-                warm_pool=self.config.warm_pool,
-                shm=self.config.shm,
             )
             lost = sum(1 for group in nested if group is None)
             with metrics.time("array_mc.merge"):

@@ -80,8 +80,6 @@ class ExecutionOptions:
     n_jobs: int = 1
     retry: Optional[object] = None  # a repro.parallel.RetryPolicy
     resume: bool = True
-    warm_pool: Optional[bool] = None
-    shm: Optional[bool] = None
 
 
 def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
@@ -100,8 +98,6 @@ def build_flow(spec: QuerySpec, options: Optional[ExecutionOptions] = None):
         n_jobs=options.n_jobs,
         retry=options.retry,
         resume=options.resume,
-        warm_pool=options.warm_pool,
-        shm=options.shm,
     )
 
 

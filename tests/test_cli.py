@@ -22,10 +22,13 @@ class TestParser:
             build_parser().parse_args([])
 
     @pytest.mark.parametrize(
-        "flags", [["--fuse"], ["--backend", "numpy"]], ids=["fuse", "backend"]
+        "flags",
+        [["--fuse"], ["--backend", "numpy"], ["--no-warm-pool"], ["--no-shm"]],
+        ids=["fuse", "backend", "no-warm-pool", "no-shm"],
     )
     def test_removed_execution_flags_rejected(self, flags, capsys):
-        # one campaign path and one array kernel: nothing left to select
+        # one campaign path, one array kernel and one pool path:
+        # nothing left to select
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["sweep", *flags])
         assert excinfo.value.code == 2

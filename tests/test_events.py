@@ -38,7 +38,6 @@ from repro.obs.registry import disable_metrics, enable_metrics, get_registry
 from repro.obs.trace import configure_tracing, reset_tracing
 from repro.parallel import RetryPolicy, parallel_map
 from repro.parallel.engine import FAULT_ENV
-from repro.parallel.pool import get_lease, set_warm_pool_default
 from repro.sram import CharacterizationConfig
 
 
@@ -194,12 +193,7 @@ class TestParallelEvents:
         assert len(_progress(events, "evmap", "started")) == 4
         assert len(_progress(events, "evmap", "finished")) == 4
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_pooled_paths_stream_worker_events(
-        self, tmp_path, monkeypatch, warm
-    ):
-        if not warm:
-            monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
+    def test_pooled_path_streams_worker_events(self, tmp_path):
         events = self._run_and_read(tmp_path, n_jobs=2)
         _assert_ordered(events)
         rounds = [e for e in events if e["kind"] == "round"]
@@ -236,10 +230,7 @@ class TestParallelEvents:
         assert [r["phase"] for r in rounds] == ["start", "end"] * 2
         assert len(_progress(events, "evreuse", "finished")) == 6
 
-    def test_no_bus_means_no_events_and_no_queue_for_fresh_pools(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
+    def test_no_bus_means_no_events(self):
         results = parallel_map(
             _square_task, [0, 1, 2, 3], n_jobs=2, label="dark"
         )

@@ -486,14 +486,18 @@ class TestManifestEnvironment:
     def test_capture_environment_reports_kill_switches(self, monkeypatch):
         from repro.obs import capture_environment
 
-        monkeypatch.setenv("REPRO_NO_WARM_POOL", "1")
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
+        monkeypatch.delenv("REPRO_PARALLEL_KILL", raising=False)
+        monkeypatch.setenv("REPRO_SOMETHING", "1")
         env = capture_environment({"jobs": 4})
-        assert env["env"]["REPRO_NO_WARM_POOL"] == "1"
-        assert env["env"]["REPRO_NO_SHM"] is None  # recorded even unset
-        assert env["warm_pool_enabled"] is False  # effective, post-env
+        assert env["env"]["REPRO_PARALLEL_KILL"] is None  # recorded unset
+        assert env["env"]["REPRO_SOMETHING"] == "1"
         assert env["n_jobs"] == 4
-        assert "backend" not in env
+        assert set(env) == {
+            "env",
+            "n_jobs",
+            "cpu_count",
+            "start_method",
+        }
         assert env["cpu_count"] >= 1
 
     def test_build_manifest_embeds_environment_and_strips_samples(self):
@@ -512,7 +516,7 @@ class TestManifestEnvironment:
             version="test",
         )
         assert manifest.environment["n_jobs"] == 2
-        assert "REPRO_NO_WARM_POOL" in manifest.environment["env"]
+        assert "REPRO_PARALLEL_KILL" in manifest.environment["env"]
         stats = manifest.stage_timings_s["fit"]
         assert "p50_s" in stats and "p99_s" in stats
         # the raw retention buffer stays out of the derived section

@@ -174,8 +174,10 @@ class TestObsDiff:
         self, tmp_path, capsys
     ):
         """Manifests written while the array-backend knob existed (a
-        top-level ``backend`` section plus ``environment.backend``)
-        still load and diff against current ones."""
+        top-level ``backend`` section plus ``environment.backend``), or
+        while the warm-pool/shm switches existed (their effective state
+        and ``REPRO_NO_*`` variables under ``environment``), still load
+        and diff against current ones."""
         new = make_manifest_file(tmp_path / "new.json")
         payload = json.loads(new.read_text())
         payload["backend"] = {
@@ -193,6 +195,24 @@ class TestObsDiff:
         assert diffs == [("environment.backend", "numpy", "<absent>")]
         assert cli_main(["obs", "diff", str(old), str(new)]) == 0
         assert "environment.backend" in capsys.readouterr().out
+
+        payload = json.loads(new.read_text())
+        payload["environment"]["warm_pool_enabled"] = True
+        payload["environment"]["shm_enabled"] = True
+        payload["environment"]["env"]["REPRO_NO_WARM_POOL"] = None
+        payload["environment"]["env"]["REPRO_NO_SHM"] = "1"
+        switches = tmp_path / "switches.json"
+        switches.write_text(json.dumps(payload))
+
+        diffs, _meta = diff_manifests(switches, new)
+        assert diffs == [
+            ("environment.env.REPRO_NO_SHM", "1", "<absent>"),
+            ("environment.env.REPRO_NO_WARM_POOL", None, "<absent>"),
+            ("environment.shm_enabled", True, "<absent>"),
+            ("environment.warm_pool_enabled", True, "<absent>"),
+        ]
+        assert cli_main(["obs", "diff", str(switches), str(new)]) == 0
+        assert "environment.warm_pool_enabled" in capsys.readouterr().out
 
 
 class TestBenchCheck:
@@ -250,7 +270,7 @@ class TestBenchCheck:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
-        for name in ("BENCH_flow.json", "BENCH_characterize.json"):
+        for name in ("BENCH_characterize.json", "BENCH_adaptive.json"):
             ok, report = bench_check(root / name, max_regress=1.0)
             assert ok, report
 

@@ -1,6 +1,7 @@
 """Parallel execution engine: determinism, merging, sparse kernel."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -121,6 +122,22 @@ class TestEngine:
 
 def _square_task(payload, task):
     return task * task
+
+
+def _in_worker_task(payload, task):
+    from repro.parallel.engine import _in_worker
+
+    return _in_worker()
+
+
+def _pid_task(payload, task):
+    return os.getpid()
+
+
+def _nested_map_task(payload, task):
+    """Issue a 2-job map from inside a pool task."""
+    inner = parallel_map(_pid_task, [0, 1, 2], n_jobs=2, label="inner")
+    return os.getpid(), inner
 
 
 def _offset_task(payload, task):
@@ -443,3 +460,20 @@ class TestAutoInline:
         from repro.parallel import AUTO_INLINE_THRESHOLD_S
 
         assert AUTO_INLINE_THRESHOLD_S > 0
+
+
+class TestNestedMapGuard:
+    def test_nested_map_runs_inline_in_the_worker(self):
+        from repro.parallel.engine import _in_worker
+
+        assert not _in_worker()
+        # checked before nesting: a worker that misses its own flag
+        # would fork a grandchild pool below
+        flags = parallel_map(_in_worker_task, [0, 1, 2, 3], n_jobs=2)
+        assert flags == [True] * 4
+        outer = parallel_map(
+            _nested_map_task, [0, 1], n_jobs=2, label="outer"
+        )
+        for pid, inner in outer:
+            assert pid != os.getpid()
+            assert inner == [pid] * 3
