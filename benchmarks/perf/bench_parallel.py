@@ -2,8 +2,8 @@
 
 Times the three parallelized hot paths -- electron-yield LUT build,
 cell characterization, and the array Monte Carlo -- at each requested
-worker count, plus the sparse vs dense strike-kernel comparison, and
-appends one run entry to a ``BENCH_parallel.json`` trajectory artifact
+worker count, plus the strike kernel split into its ray-cast front half
+and its scoring back half, and appends one run entry to a ``BENCH_parallel.json`` trajectory artifact
 so speedups can be tracked across commits.
 
 Usage (CI runs the tiny scale)::
@@ -151,17 +151,16 @@ def bench_array_mc(scale, jobs_list, check):
     return timings
 
 
-def bench_kernel(scale, check, reps=3):
-    """Sparse vs dense strike kernel on identical ray batches.
+def bench_kernel(scale, reps=3):
+    """Strike kernel on identical ray batches, split by half.
 
-    Uses a 16x16 array (256 cells): the dense kernel's per-event
-    ``(n_events, n_cells, 3)`` tensor cost scales with the cell count,
-    which is exactly what the sparse kernel avoids.  Both kernels share
-    the ray-geometry front half (``_gather_strikes``), which dominates
-    the total, so the harness also times the gather alone and reports
-    the backend times (kernel minus gather) -- that difference is what
-    the sparse rewrite buys.  Min-of-``reps`` to suppress allocator
-    noise.
+    Uses a 16x16 array (256 cells, 768 sensitive fins).  ``gather`` is
+    the front half (``_gather_strikes``: bounding-box prefilter,
+    broad-phase fin ray cast, pair sampling); ``sparse`` is the whole
+    kernel and ``sparse_backend`` the scoring back half (kernel minus
+    gather).  Min-of-``reps`` to suppress allocator noise.  The sparse
+    kernel's equality with the dense reference is asserted in
+    ``tests/test_parallel.py::TestSparseKernel``.
     """
     from repro.physics import sample_rays
 
@@ -175,53 +174,32 @@ def bench_kernel(scale, check, reps=3):
         rng = np.random.default_rng(17)
         return rng, sample_rays(n, rng, x_range, y_range, z, "isotropic")
 
-    samples = {"sparse": [], "dense": [], "gather": []}
-    outputs = {}
+    samples = {"sparse": [], "gather": []}
     for _ in range(reps):
         rng, rays = fresh_batch()
         _, seconds = _time(
             lambda: simulator._gather_strikes(ALPHA, 5.0, rays, rng)
         )
         samples["gather"].append(seconds)
-        for name, kernel in (
-            ("sparse", simulator._process_batch),
-            ("dense", simulator._process_batch_dense),
-        ):
-            rng, rays = fresh_batch()
-            output, seconds = _time(
-                lambda: kernel(ALPHA, 5.0, 0.7, rays, rng)
-            )
-            samples[name].append(seconds)
-            outputs[name] = output
-    if check:
-        sparse, dense = outputs["sparse"], outputs["dense"]
-        assert sparse[3] == dense[3] and sparse[4] == dense[4]
-        np.testing.assert_allclose(sparse[0], dense[0], rtol=1e-12)
-        np.testing.assert_allclose(sparse[5], dense[5], rtol=1e-12)
-    def backend(name):
-        """Best paired (kernel - gather) difference, or None.
-
-        The historical ``min(kernel) - min(gather)`` clamped at 0.0
-        reported ``sparse_backend: 0.0`` whenever the shared gather
-        front half dominated and cross-rep noise exceeded the backend
-        cost -- a zeroed, not measured, figure.  Pairing each rep's
-        kernel time with the *same rep's* gather time cancels the
-        slow-host drift between reps; when even the best paired
-        difference is non-positive the backend is below the timer's
-        resolution here, and the honest report is ``null``, not 0.0.
-        """
-        best = min(
-            kernel_s - gather_s
-            for kernel_s, gather_s in zip(samples[name], samples["gather"])
+        rng, rays = fresh_batch()
+        _, seconds = _time(
+            lambda: simulator._process_batch(ALPHA, 5.0, 0.7, rays, rng)
         )
-        return best if best > 0.0 else None
+        samples["sparse"].append(seconds)
 
+    # Best paired (kernel - gather) difference: pairing each rep's
+    # kernel time with the same rep's gather time cancels slow-host
+    # drift between reps.  When even the best difference is
+    # non-positive the back half is below the timer's resolution here,
+    # and the honest report is ``null``, not 0.0.
+    best = min(
+        kernel_s - gather_s
+        for kernel_s, gather_s in zip(samples["sparse"], samples["gather"])
+    )
     return {
         "gather": min(samples["gather"]),
         "sparse": min(samples["sparse"]),
-        "dense": min(samples["dense"]),
-        "sparse_backend": backend("sparse"),
-        "dense_backend": backend("dense"),
+        "sparse_backend": best if best > 0.0 else None,
     }
 
 
@@ -270,26 +248,16 @@ def main(argv=None) -> int:
         )
         print(f"{name:>13s}  {report}")
 
-    kernel = bench_kernel(scale, args.check)
+    kernel = bench_kernel(scale)
     paths["kernel"] = kernel
-
-    def fmt_backend(value):
-        return "n/a" if value is None else f"{value:.3f}s"
-
-    sparse_b, dense_b = kernel["sparse_backend"], kernel["dense_backend"]
-    ratio = (
-        f"({dense_b / sparse_b:.1f}x)"
-        if sparse_b is not None and dense_b is not None
-        else "(ratio n/a)"
-    )
+    backend = kernel["sparse_backend"]
     print(
         f"{'kernel':>13s}  gather: {kernel['gather']:.3f}s  "
-        f"sparse backend: {fmt_backend(sparse_b)}  "
-        f"dense backend: {fmt_backend(dense_b)}  "
-        f"{ratio}"
+        f"sparse: {kernel['sparse']:.3f}s  backend: "
+        f"{'n/a' if backend is None else f'{backend:.3f}s'}"
     )
     if args.check:
-        print("determinism checks passed (parallel == serial, sparse == dense)")
+        print("determinism checks passed (parallel == serial)")
 
     entry = {
         "timestamp": datetime.datetime.now(

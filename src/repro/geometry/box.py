@@ -6,7 +6,11 @@ lengths.  Two entry points are provided:
 
 * :meth:`Aabb.chord` -- one ray against one box;
 * :func:`chord_lengths` -- an ``(n_rays, n_boxes)`` matrix of chord
-  lengths, the kernel of the array-level Monte Carlo.
+  lengths.
+
+The array-level Monte Carlo casts through
+:class:`~repro.geometry.grid.BoxGrid`, which runs the same slab kernel
+on the (ray, box) pairs a ray can reach.
 """
 
 from __future__ import annotations
@@ -82,14 +86,11 @@ class Aabb:
         interval.
         """
         t_near, t_far = _slab_interval(
-            ray.origin[np.newaxis, :],
-            ray.direction[np.newaxis, :],
-            self.lo[np.newaxis, :],
-            self.hi[np.newaxis, :],
+            ray.origin, ray.direction, self.lo, self.hi
         )
-        if t_far[0, 0] <= t_near[0, 0]:
+        if t_far <= t_near:
             return None
-        return float(t_near[0, 0]), float(t_far[0, 0])
+        return float(t_near), float(t_far)
 
     def chord(self, ray: Ray) -> float:
         """Chord length [nm] of the forward half-line through this box."""
@@ -101,59 +102,87 @@ class Aabb:
         return max(t_far - entry, 0.0)
 
 
+#: Direction components below this magnitude count as parallel to their
+#: slab pair.  A subnormal component makes the slab parameter
+#: ``(lo - o) / d`` overflow for a displacement of a few nm; above this
+#: bound no displacement under 1e100 nm can overflow, and below it the
+#: parameter exceeds 1e200 nm per nm of displacement, which no finite
+#: geometry tells apart from a parallel ray.
+_PARALLEL_BELOW = 1.0e-200
+
+#: Large finite slab bound for parallel rays: +/- inf would turn into
+#: nan under the interval arithmetic (inf - inf) when a
+#: parallel-outside slab meets another infinite bound.
+_BIG = 1.0e30
+
+
 def _slab_interval(origins, directions, lo, hi):
-    """Vectorized slab intersection.
+    """Slab intersection of rays and boxes on broadcast shapes.
 
     Parameters
     ----------
     origins, directions:
-        ``(n, 3)`` ray data.
+        ``(..., 3)`` ray data.
     lo, hi:
-        ``(m, 3)`` box corners.
+        ``(..., 3)`` box corners, broadcast against the rays: the dense
+        matrix passes ``(n, 1, 3)`` rays and ``(1, m, 3)`` boxes, a
+        pair list passes ``(k, 3)`` of each.  Every output element is
+        the same per-element arithmetic either way, so a pair list and
+        the dense matrix agree bit for bit.
 
     Returns
     -------
     (t_near, t_far):
-        ``(n, m)`` arrays; a miss is encoded as ``t_far <= t_near``.
+        Arrays of the broadcast shape without its last axis; a miss is
+        encoded as ``t_far <= t_near``.
     """
-    # Accumulate the slab interval one axis at a time with (n, m)
-    # scratch arrays -- avoids (n, m, 3) temporaries, which dominate
-    # the array-MC runtime.  Guard zero direction components: a ray
-    # parallel to a slab either always or never satisfies it; emulate
-    # with +/- inf via errstate-protected division.
-    n = origins.shape[0]
-    m = lo.shape[0]
-    t_near = np.full((n, m), -np.inf, dtype=np.float64)
-    t_far = np.full((n, m), np.inf, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_all = 1.0 / directions  # (n, 3); inf where parallel
-    # Large finite sentinel: +/- inf would turn into nan under the
-    # interval arithmetic (inf - inf) when a parallel-outside slab
-    # meets another infinite bound.
-    big = 1.0e30
+    # Accumulate the slab interval one axis at a time -- avoids
+    # (..., 3) temporaries, which dominate the array-MC runtime.
+    shape = np.broadcast_shapes(
+        origins.shape, directions.shape, lo.shape, hi.shape
+    )[:-1]
+    t_near = np.full(shape, -np.inf, dtype=np.float64)
+    t_far = np.full(shape, np.inf, dtype=np.float64)
+    # Divide only where the reciprocal is usable; parallel components
+    # get a zero placeholder that the parallel branch below overwrites.
+    parallel_all = np.abs(directions) < _PARALLEL_BELOW
+    inv_all = np.divide(
+        1.0,
+        directions,
+        out=np.zeros(directions.shape, dtype=np.float64),
+        where=~parallel_all,
+    )
     for axis in range(3):
-        o = origins[:, axis][:, np.newaxis]  # (n, 1)
-        inv = inv_all[:, axis][:, np.newaxis]
-        # 0 * inf -> nan is possible when a parallel ray origin touches
-        # a slab plane; the parallel branch below overwrites those rows.
-        with np.errstate(invalid="ignore"):
-            t1 = (lo[np.newaxis, :, axis] - o) * inv
-            t2 = (hi[np.newaxis, :, axis] - o) * inv
+        o = origins[..., axis]
+        inv = inv_all[..., axis]
+        lo_axis = lo[..., axis]
+        hi_axis = hi[..., axis]
+        t1 = (lo_axis - o) * inv
+        t2 = (hi_axis - o) * inv
         axis_lo = np.minimum(t1, t2)
         axis_hi = np.maximum(t1, t2)
-        parallel = directions[:, axis] == 0.0
+        parallel = parallel_all[..., axis]
         if np.any(parallel):
             # A ray parallel to this slab pair either satisfies it for
             # all t (origin inside the slab) or for no t (outside).
-            inside = (o >= lo[np.newaxis, :, axis]) & (
-                o <= hi[np.newaxis, :, axis]
+            inside = (o >= lo_axis) & (o <= hi_axis)
+            axis_lo = np.where(
+                parallel, np.where(inside, -_BIG, _BIG), axis_lo
             )
-            rows = parallel[:, np.newaxis]
-            axis_lo = np.where(rows, np.where(inside, -big, big), axis_lo)
-            axis_hi = np.where(rows, np.where(inside, big, -big), axis_hi)
+            axis_hi = np.where(
+                parallel, np.where(inside, _BIG, -_BIG), axis_hi
+            )
         np.maximum(t_near, axis_lo, out=t_near)
         np.minimum(t_far, axis_hi, out=t_far)
     return t_near, t_far
+
+
+def _chords(t_near, t_far, forward_only: bool = True):
+    """Chord lengths of slab intervals; 0 where the box is missed."""
+    if forward_only:
+        t_near = np.maximum(t_near, 0.0)
+    lengths = t_far - t_near
+    return np.where(lengths > 0.0, lengths, 0.0)
 
 
 def chord_lengths(rays: RayBatch, boxes, forward_only: bool = True):
@@ -176,11 +205,13 @@ def chord_lengths(rays: RayBatch, boxes, forward_only: bool = True):
         ``(n, m)`` chord lengths [nm]; 0 where a box is missed.
     """
     lo, hi = _boxes_to_arrays(boxes)
-    t_near, t_far = _slab_interval(rays.origins, rays.directions, lo, hi)
-    if forward_only:
-        t_near = np.maximum(t_near, 0.0)
-    lengths = t_far - t_near
-    return np.where(lengths > 0.0, lengths, 0.0)
+    t_near, t_far = _slab_interval(
+        rays.origins[:, np.newaxis, :],
+        rays.directions[:, np.newaxis, :],
+        lo[np.newaxis, :, :],
+        hi[np.newaxis, :, :],
+    )
+    return _chords(t_near, t_far, forward_only)
 
 
 def stack_boxes(boxes) -> np.ndarray:

@@ -4,8 +4,10 @@ The array-level Monte Carlo (paper Section 5) needs, for every fin in
 the array: its 3-D box, which cell it belongs to, which device role it
 implements, and -- given the stored data pattern -- whether it is
 sensitive and which strike current (I1/I2/I3) a hit contributes to.
-:class:`SramArrayLayout` precomputes all of that as flat numpy arrays
-so the ray-casting kernel is a single vectorized slab test.
+:class:`SramArrayLayout` precomputes all of that as flat numpy arrays,
+and :meth:`SramArrayLayout.sensitive_grid` bins the sensitive fins on
+the cell grid so a ray cast slab-tests only the fins in the cells a
+track crosses (:class:`~repro.geometry.BoxGrid`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..geometry import Aabb, stack_boxes
+from ..geometry import Aabb, BoxGrid, stack_boxes
 from ..sram.cell import ROLES
 from ..units import nm_to_cm
 from .celllayout import CellLayout
@@ -157,6 +159,19 @@ class SramArrayLayout:
     def area_cm2(self) -> float:
         """Array footprint Lx * Ly [cm^2] (paper eq. 7)."""
         return nm_to_cm(self.width_nm) * nm_to_cm(self.height_nm)
+
+    def sensitive_grid(self) -> BoxGrid:
+        """Broad-phase index of the sensitive fins, binned per cell.
+
+        Box ``i`` of the grid is the ``i``-th sensitive fin in fin
+        order, i.e. ``packed_boxes[fin_strike >= 0][i]``.
+        """
+        return BoxGrid(
+            self.packed_boxes[self.fin_strike >= 0],
+            self.bounding_box(),
+            self.n_cols,
+            self.n_rows,
+        )
 
     def sensitive_fin_count(self) -> int:
         """Number of fins that are strike-sensitive under the pattern."""

@@ -242,6 +242,7 @@ def build_manifest(
         "array_particles": counters.get("array_mc.particles", 0),
         "array_hits": counters.get("array_mc.hits", 0),
         "fin_strikes": counters.get("array_mc.strikes", 0),
+        "pair_tests": counters.get("array_mc.pair_tests", 0),
         "array_runs": counters.get("array_mc.runs", 0),
         "transport_trials": counters.get("transport.trials", 0),
         "characterization_points": counters.get(

@@ -195,15 +195,12 @@ def _event_cell_pofs(simulator, particle, energy_mev, vdd_v, rays, rng):
     matrix; kept separate so the hot main path stays lean.
     """
     from ..constants import ELEMENTARY_CHARGE_C
-    from ..geometry import chord_lengths
 
-    chords = chord_lengths(rays, simulator._sensitive_boxes)
-    event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
+    event_rows, ray_idx, fin_idx, chord_vals, _ = (
+        simulator._grid.strike_pairs(rays)
+    )
     if len(event_rows) == 0:
         return None
-    sub = chords[event_rows] > 0.0
-    ray_idx, fin_idx = np.nonzero(sub)
-    chord_vals = chords[event_rows][ray_idx, fin_idx]
 
     strike_energies = np.full_like(chord_vals, energy_mev)
     pairs = simulator._pairs_for_strikes(

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..constants import ELEMENTARY_CHARGE_C
 from ..errors import ConfigError, WorkerCrashError
-from ..geometry import RayBatch, chord_lengths
+from ..geometry import RayBatch, event_index
 from ..layout import SramArrayLayout
 from ..obs import get_logger, get_registry, kv
 from ..obs.convergence import record_bin
@@ -52,7 +52,7 @@ from ..physics import (
 from ..physics.sampling import sample_directions
 from ..sram import PofTable
 from ..transport import ElectronYieldLUT
-from .pof import _ONE_MINUS_EPS, combine, multiplicity_pmf
+from .pof import _ONE_MINUS_EPS
 
 _log = get_logger(__name__)
 
@@ -672,11 +672,7 @@ class ArraySerSimulator:
         self._sensitive_boxes = self.layout.packed_boxes[sensitive]
         self._sens_cell = self.layout.fin_cell[sensitive]
         self._sens_strike = self.layout.fin_strike[sensitive]
-        self._array_bbox = self.layout.bounding_box()
-        # chunk-invariant kernel inputs, hoisted out of the hot loop
-        self._bbox_packed = np.concatenate(
-            [self._array_bbox.lo, self._array_bbox.hi]
-        )[np.newaxis, :]
+        self._grid = self.layout.sensitive_grid()
         self._empty_pmf = np.zeros(self.config.max_multiplicity + 1)
 
     def run(
@@ -925,17 +921,19 @@ class ArraySerSimulator:
     # -- kernel ----------------------------------------------------------------
 
     def _gather_strikes(self, particle, energy_mev, rays: RayBatch, rng):
-        """Shared front half of both kernels: rays -> per-strike charges.
+        """Front half of the kernel: rays -> per-strike charges.
 
         Returns ``(n_hits, n_strikes, n_events, strikes)`` where
         ``strikes`` is ``(ray_idx, cell_of, strike_of, charges)`` or
-        ``None`` when the batch produced no fin strikes.  Consumes the
-        generator identically in both kernel variants, so dense and
-        sparse runs of the same seed see the same physics.
+        ``None`` when the batch produced no fin strikes; ``ray_idx``
+        numbers the batch's events (rays with a strike) in ray order.
+        The ray cast is the sensitive-fin grid's broad phase: the
+        strikes, their order and hence the generator's consumption are
+        those of the dense ``(hit rays x sensitive fins)`` chord matrix.
         """
         # Cheap prefilter: only tracks crossing the array bounding box
-        # can strike a fin; run the expensive per-fin test on those.
-        array_hits = chord_lengths(rays, self._bbox_packed)[:, 0] > 0.0
+        # can strike a fin; its entry/exit segment bounds the fin search.
+        array_hits, t_enter, t_exit = self._grid.enter(rays)
         n_hits = int(np.sum(array_hits))
         if n_hits == 0:
             return 0, 0, 0, None
@@ -946,19 +944,19 @@ class ArraySerSimulator:
         per_ray_energy = np.broadcast_to(
             np.asarray(energy_mev, dtype=np.float64), (len(rays),)
         )[array_hits]
-        chords = chord_lengths(hit_rays, self._sensitive_boxes)
-
-        event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
-        if len(event_rows) == 0:
+        ray_of, fin_idx, chord_vals, n_tested = self._grid.cast(
+            hit_rays.origins,
+            hit_rays.directions,
+            t_enter[array_hits],
+            t_exit[array_hits],
+        )
+        get_registry().counter("array_mc.pair_tests").inc(n_tested)
+        if len(fin_idx) == 0:
             return n_hits, 0, 0, None
 
-        sub_chords = chords[event_rows]
-        ray_idx, fin_idx = np.nonzero(sub_chords > 0.0)
-        chord_vals = sub_chords[ray_idx, fin_idx]
-        strike_energies = per_ray_energy[event_rows][ray_idx]
-
+        event_rows, ray_idx = event_index(ray_of)
         pairs = self._pairs_for_strikes(
-            particle, strike_energies, chord_vals, rng
+            particle, per_ray_energy[ray_of], chord_vals, rng
         )
         charges = pairs * ELEMENTARY_CHARGE_C
         strikes = (
@@ -972,13 +970,12 @@ class ArraySerSimulator:
     def _process_batch(self, particle, energy_mev, vdd_v, rays: RayBatch, rng):
         """Sparse strike kernel: group strikes by (event, cell) key.
 
-        Never allocates the dense ``(n_events, n_cells, 3)`` charge
-        tensor of :meth:`_process_batch_dense` -- strikes are folded
-        into per-(event, cell) charge triples via ``np.unique``, the
-        POF table is queried only on touched cells, and eqs. 4-6 plus
-        the multiplicity PMF are evaluated with segmented reductions
-        over the touched set (:func:`segment_combine`,
-        :func:`segment_multiplicity`).
+        Never allocates a dense ``(n_events, n_cells, 3)`` charge
+        tensor -- strikes are folded into per-(event, cell) charge
+        triples via ``np.unique``, the POF table is queried only on
+        touched cells, and eqs. 4-6 plus the multiplicity PMF are
+        evaluated with segmented reductions over the touched set
+        (:func:`segment_combine`, :func:`segment_multiplicity`).
         """
         n_hits, n_strikes, n_events, strikes = self._gather_strikes(
             particle, energy_mev, rays, rng
@@ -989,7 +986,7 @@ class ArraySerSimulator:
 
         # one row per touched (event, cell) pair; np.unique sorts the
         # keys, so rows come out event-major with cells ascending --
-        # the same per-event cell order the dense kernel reduces in.
+        # the per-event cell order of a dense (events x cells) reduction.
         key = ray_idx.astype(np.int64) * self.layout.n_cells + cell_of
         unique_keys, inverse = np.unique(key, return_inverse=True)
         cell_charges = np.zeros((len(unique_keys), 3), dtype=np.float64)
@@ -1024,50 +1021,6 @@ class ArraySerSimulator:
         (:func:`segment_multiplicity` at this config's ``max_k``)."""
         return segment_multiplicity(
             pof, starts, self.config.max_multiplicity
-        )
-
-    def _process_batch_dense(
-        self, particle, energy_mev, vdd_v, rays: RayBatch, rng
-    ):
-        """Reference kernel materializing the dense charge tensor.
-
-        Kept for regression tests and the ``benchmarks/perf`` harness;
-        allocates ``(n_events, n_cells, 3)`` per batch, which the
-        sparse :meth:`_process_batch` exists to avoid.
-        """
-        n_hits, n_strikes, n_events, strikes = self._gather_strikes(
-            particle, energy_mev, rays, rng
-        )
-        if strikes is None:
-            return 0.0, 0.0, 0.0, n_hits, n_strikes, self._empty_pmf.copy()
-        ray_idx, cell_of, strike_of, charges = strikes
-
-        charge_tensor = np.zeros(
-            (n_events, self.layout.n_cells, 3), dtype=np.float64
-        )
-        np.add.at(charge_tensor, (ray_idx, cell_of, strike_of), charges)
-
-        cell_mask = np.any(charge_tensor > 0.0, axis=2)
-        ev_i, cell_i = np.nonzero(cell_mask)
-        pof_cells = np.zeros((n_events, self.layout.n_cells), dtype=np.float64)
-        if len(ev_i):
-            pof_values = self.pof_table.query(
-                vdd_v, charge_tensor[ev_i, cell_i, :]
-            )
-            pof_cells[ev_i, cell_i] = pof_values
-
-        total, seu, mbu = combine(pof_cells)
-        pmf = multiplicity_pmf(
-            pof_cells, max_k=self.config.max_multiplicity
-        ).sum(axis=0)
-        pmf[0] = 0.0
-        return (
-            float(np.sum(total)),
-            float(np.sum(seu)),
-            float(np.sum(mbu)),
-            n_hits,
-            n_strikes,
-            pmf,
         )
 
     def _pairs_for_strikes(self, particle, strike_energies, chord_nm, rng):

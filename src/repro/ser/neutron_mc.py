@@ -26,7 +26,7 @@ import numpy as np
 
 from ..constants import ELEMENTARY_CHARGE_C, SILICON_PAIR_ENERGY_EV
 from ..errors import ConfigError
-from ..geometry import RayBatch, chord_lengths
+from ..geometry import RayBatch
 from ..layout import SramArrayLayout
 from ..physics import sample_rays
 from ..physics.neutron import NeutronInteractionModel, SeaLevelNeutronSpectrum
@@ -68,8 +68,7 @@ class NeutronSerSimulator:
         )
         self.config = config if config is not None else NeutronMcConfig()
         sensitive = self.layout.fin_strike >= 0
-        self._sensitive_boxes = self.layout.packed_boxes[sensitive]
-        self._sens_cell = self.layout.fin_cell[sensitive]
+        self._grid = self.layout.sensitive_grid()
         self._sens_strike = self.layout.fin_strike[sensitive]
 
     def run(
@@ -126,14 +125,9 @@ class NeutronSerSimulator:
         )
 
     def _process_batch(self, energy_mev, vdd_v, rays: RayBatch, rng):
-        chords = chord_lengths(rays, self._sensitive_boxes)
-        event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
-        if len(event_rows) == 0:
+        _, _, fin_idx, chord_vals, _ = self._grid.strike_pairs(rays)
+        if len(fin_idx) == 0:
             return 0.0, 0.0, 0.0, 0
-
-        sub = chords[event_rows] > 0.0
-        ray_idx, fin_idx = np.nonzero(sub)
-        chord_vals = chords[event_rows][ray_idx, fin_idx]
         n_strikes = len(fin_idx)
 
         # importance sampling: force a reaction in each crossed fin,
@@ -153,20 +147,11 @@ class NeutronSerSimulator:
             deposit_kev * 1.0e3 / SILICON_PAIR_ENERGY_EV
         ) * ELEMENTARY_CHARGE_C
 
-        n_events = len(event_rows)
-        cell_of = self._sens_cell[fin_idx]
+        # each strike is its own weighted event: reactions are rare, so
+        # a track reacting in two fins (probability ~ w^2, the only way
+        # to an MBU -- one secondary cannot span cells in this model)
+        # is dropped; the POF of every strike is evaluated on its own
         strike_of = self._sens_strike[fin_idx]
-        charge_tensor = np.zeros(
-            (n_events, self.layout.n_cells, 3), dtype=np.float64
-        )
-        # reactions are rare; double reactions on one track are
-        # negligible, so each strike is its own weighted event --
-        # but strikes sharing a ray still combine for MBU (a single
-        # secondary cannot span cells in this model, so MBU requires
-        # the track to react in two fins: probability ~ w^2, ignored).
-        np.add.at(charge_tensor, (ray_idx, cell_of, strike_of), charges)
-
-        # evaluate POF per strike independently, weighted
         pof_values = self.pof_table.query(
             vdd_v,
             np.stack(

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.constants import ELEMENTARY_CHARGE_C
 from repro.errors import ConfigError
+from repro.geometry import RayBatch, chord_lengths
 from repro.layout import SramArrayLayout
 from repro.obs.registry import MetricsRegistry
 from repro.parallel import parallel_map, resolve_jobs, spawn_seeds
@@ -19,6 +21,7 @@ from repro.sram import (
 )
 from repro.sram.strike import ALL_COMBOS
 from repro.ser import ArrayMcConfig, ArrayPofResult, ArraySerSimulator
+from repro.ser.pof import combine, multiplicity_pmf
 from repro.transport import ElectronYieldLUT
 
 
@@ -185,6 +188,62 @@ class TestCampaignInvariance:
 # -- sparse kernel vs the dense reference --------------------------------------
 
 
+def dense_process_batch(simulator, particle, energy_mev, vdd_v, rays, rng):
+    """Dense reference twin of ``ArraySerSimulator._process_batch``.
+
+    Casts every array-hitting ray against every sensitive fin (the
+    ``(hit rays x fins)`` chord matrix) and scores the dense
+    ``(n_events, n_cells, 3)`` charge tensor with :func:`combine` and
+    :func:`multiplicity_pmf` -- the two layers the broad-phase ray cast
+    and the sparse strike kernel replace.  Mono-energetic batches only.
+    """
+    empty_pmf = np.zeros(simulator.config.max_multiplicity + 1)
+    bbox = simulator.layout.bounding_box()
+    array_hits = chord_lengths(rays, [bbox])[:, 0] > 0.0
+    n_hits = int(np.sum(array_hits))
+    if n_hits == 0:
+        return 0.0, 0.0, 0.0, 0, 0, empty_pmf
+    hit_rays = RayBatch(rays.origins[array_hits], rays.directions[array_hits])
+    chords = chord_lengths(hit_rays, simulator._sensitive_boxes)
+    event_rows = np.nonzero(np.any(chords > 0.0, axis=1))[0]
+    if len(event_rows) == 0:
+        return 0.0, 0.0, 0.0, n_hits, 0, empty_pmf
+    sub = chords[event_rows]
+    ray_idx, fin_idx = np.nonzero(sub > 0.0)
+    pairs = simulator._pairs_for_strikes(
+        particle,
+        np.full(len(fin_idx), float(energy_mev)),
+        sub[ray_idx, fin_idx],
+        rng,
+    )
+    n_cells = simulator.layout.n_cells
+    tensor = np.zeros((len(event_rows), n_cells, 3), dtype=np.float64)
+    np.add.at(
+        tensor,
+        (ray_idx, simulator._sens_cell[fin_idx], simulator._sens_strike[fin_idx]),
+        pairs * ELEMENTARY_CHARGE_C,
+    )
+    ev_i, cell_i = np.nonzero(np.any(tensor > 0.0, axis=2))
+    pof_cells = np.zeros((len(event_rows), n_cells), dtype=np.float64)
+    if len(ev_i):
+        pof_cells[ev_i, cell_i] = simulator.pof_table.query(
+            vdd_v, tensor[ev_i, cell_i, :]
+        )
+    total, seu, mbu = combine(pof_cells)
+    pmf = multiplicity_pmf(
+        pof_cells, max_k=simulator.config.max_multiplicity
+    ).sum(axis=0)
+    pmf[0] = 0.0
+    return (
+        float(np.sum(total)),
+        float(np.sum(seu)),
+        float(np.sum(mbu)),
+        n_hits,
+        len(fin_idx),
+        pmf,
+    )
+
+
 class TestSparseKernel:
     def _kernel_pair(self, layout, pof_table, seed=17, n=5000):
         simulator = make_simulator(layout, pof_table)
@@ -194,7 +253,7 @@ class TestSparseKernel:
         outputs = []
         for kernel in (
             simulator._process_batch,
-            simulator._process_batch_dense,
+            lambda *args: dense_process_batch(simulator, *args),
         ):
             rng = np.random.default_rng(seed)
             rays = sample_rays(n, rng, x_range, y_range, z, "isotropic")
